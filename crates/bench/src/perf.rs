@@ -19,7 +19,7 @@
 //! `--baseline FILE` points at a previous run's JSON (e.g. captured before
 //! an optimization); per-entry speedups are computed and embedded in the
 //! output. `--gate FILE` points at the committed `BENCH_*.json` and fails
-//! the run if any `*/signal-soa*` cell's hash-normalized throughput —
+//! the run if any `*/signal-soa*` cell's sampled-normalized throughput —
 //! including the `-t{2,4,8}` thread-scaling cells — drops more than
 //! [`GATE_TOLERANCE`] (20%) below the committed ratio. Smoke mode also runs
 //! a `threads ∈ {4, 8}` determinism matrix: counter-based noise streams
@@ -82,8 +82,8 @@ pub struct BenchOptions {
     pub baseline: Option<PathBuf>,
     /// Committed `BENCH_*.json` to enforce the signal-throughput gate
     /// against: each `*/signal-soa*` cell's slots/s (thread-scaling cells
-    /// included), normalized by the matching hash cell at the same `n` (so
-    /// the gate is machine-speed independent), must stay within
+    /// included), normalized by the matching sampled-membership cell at the
+    /// same `n` (so the gate is machine-speed independent), must stay within
     /// [`GATE_TOLERANCE`] of the committed ratio.
     pub gate: Option<PathBuf>,
     /// Output JSON path.
@@ -104,7 +104,7 @@ impl Default for BenchOptions {
     }
 }
 
-/// Allowed relative regression of the signal-soa/hash throughput ratio
+/// Allowed relative regression of the signal-soa/sampled throughput ratio
 /// before the `--gate` check fails (0.2 = 20%).
 pub const GATE_TOLERANCE: f64 = 0.2;
 
@@ -386,10 +386,13 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
 /// Enforces the signal-throughput gate: for every `*/signal-soa*` cell
 /// (single-threaded and `-t{2,4,8}` scaling rows alike) present in both
 /// this run and the committed gate file, the ratio signal-soa slots/s ÷
-/// hash slots/s (same protocol family, same `n`) must not fall more than
-/// [`GATE_TOLERANCE`] below the committed ratio. Normalizing by the hash
-/// cell measured in the same run makes the gate insensitive to absolute
-/// machine speed.
+/// sampled slots/s (same protocol family, same `n`) must not fall more than
+/// [`GATE_TOLERANCE`] below the committed ratio. Normalizing by a cell
+/// measured in the same run makes the gate insensitive to absolute machine
+/// speed. The reference is the sampled-membership cell because the
+/// signal-soa cells run sampled membership too: both share the engine and
+/// differ only in resolution, so a change to the Hash-membership scan,
+/// which neither runs, cannot move the ratio.
 fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
     let sps = |name: &str, n: usize| -> Option<f64> {
         entries
@@ -413,27 +416,27 @@ fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
     let mut violations = Vec::new();
     for e in entries.iter().filter(|e| e.name.contains("/signal-soa")) {
         let family = e.name.split('/').next().unwrap_or_default();
-        let hash_name = format!("{family}/hash");
-        let (Some(cur_soa), Some(cur_hash), Some(old_soa), Some(old_hash)) = (
+        let reference = format!("{family}/sampled");
+        let (Some(cur_soa), Some(cur_ref), Some(old_soa), Some(old_ref)) = (
             sps(&e.name, e.n),
-            sps(&hash_name, e.n),
+            sps(&reference, e.n),
             gate_sps(&e.name, e.n),
-            gate_sps(&hash_name, e.n),
+            gate_sps(&reference, e.n),
         ) else {
             continue;
         };
         compared += 1;
-        let cur_ratio = cur_soa / cur_hash;
-        let old_ratio = old_soa / old_hash;
+        let cur_ratio = cur_soa / cur_ref;
+        let old_ratio = old_soa / old_ref;
         let floor = old_ratio * (1.0 - GATE_TOLERANCE);
         println!(
-            "gate {:<18} n={:<6} signal/hash ratio {cur_ratio:.4} \
+            "gate {:<18} n={:<6} signal/sampled ratio {cur_ratio:.4} \
              (committed {old_ratio:.4}, floor {floor:.4})",
             e.name, e.n
         );
         if cur_ratio < floor {
             violations.push(format!(
-                "{} n={}: signal/hash throughput ratio {cur_ratio:.4} fell below \
+                "{} n={}: signal/sampled throughput ratio {cur_ratio:.4} fell below \
                  {floor:.4} ({}% under committed {old_ratio:.4})",
                 e.name,
                 e.n,
@@ -443,7 +446,7 @@ fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
     }
     if compared == 0 {
         return Err(
-            "throughput gate: no (signal-soa, hash) cell pair exists in both this \
+            "throughput gate: no (signal-soa, sampled) cell pair exists in both this \
                     run and the gate file — check sizes/alloc-check flags"
                 .into(),
         );
@@ -678,6 +681,71 @@ mod tests {
         assert_eq!(speedups.len(), 1);
         assert_eq!(speedups[0].n, 10_000);
         assert!((speedups[0].speedup - 3.0).abs() < 1e-12);
+    }
+
+    /// A measured cell with only the fields the throughput gate reads.
+    fn cell(name: &str, n: usize, slots_per_sec: f64) -> Entry {
+        Entry {
+            name: name.into(),
+            n,
+            slots: 1_000,
+            identified: n,
+            best_wall_s: 1_000.0 / slots_per_sec,
+            slots_per_sec,
+            iters: 1,
+            allocs: None,
+            allocs_per_slot: None,
+            slot_level: true,
+            alloc_limit: None,
+        }
+    }
+
+    /// A committed gate file for fcat2 at n = 500: signal-soa runs at a
+    /// tenth of sampled, and hash at a quarter.
+    const GATE: &str = r#"{
+"entries":[
+  {"name":"fcat2/hash","n":500,"slots":1000,"slots_per_sec":250000.0},
+  {"name":"fcat2/sampled","n":500,"slots":1000,"slots_per_sec":1000000.0},
+  {"name":"fcat2/signal-soa","n":500,"slots":1000,"slots_per_sec":100000.0}
+]
+}"#;
+
+    /// This run's cells: the gate's at half the machine speed, with the
+    /// hash cell sped up by `hash_gain` and the signal cell by `signal_gain`.
+    fn run_cells(hash_gain: f64, signal_gain: f64) -> Vec<Entry> {
+        vec![
+            cell("fcat2/hash", 500, 125_000.0 * hash_gain),
+            cell("fcat2/sampled", 500, 500_000.0),
+            cell("fcat2/signal-soa", 500, 50_000.0 * signal_gain),
+        ]
+    }
+
+    #[test]
+    fn throughput_gate_passes_at_equal_ratios() {
+        assert_eq!(check_throughput_gate(&run_cells(1.0, 1.0), GATE), Ok(()));
+    }
+
+    #[test]
+    fn throughput_gate_ignores_a_faster_hash_cell() {
+        // The signal cells run sampled membership, so a faster hash scan
+        // must not read as a signal regression.
+        assert_eq!(check_throughput_gate(&run_cells(2.0, 1.0), GATE), Ok(()));
+    }
+
+    #[test]
+    fn throughput_gate_fails_on_a_signal_slowdown() {
+        // 25% slower is past the 20% tolerance.
+        let err = check_throughput_gate(&run_cells(1.0, 0.75), GATE).unwrap_err();
+        assert!(err.contains("fcat2/signal-soa n=500"), "{err}");
+    }
+
+    #[test]
+    fn throughput_gate_needs_a_reference_cell() {
+        let cells: Vec<Entry> = run_cells(1.0, 1.0)
+            .into_iter()
+            .filter(|e| e.name != "fcat2/sampled")
+            .collect();
+        assert!(check_throughput_gate(&cells, GATE).is_err());
     }
 
     #[test]
