@@ -25,7 +25,7 @@
 //! clean-channel runs byte-identical to the ideal resolution model.
 
 use crate::anc::{self, AncError, ReferenceCache, ResolveScratch};
-use crate::channel::standard_normal_pair;
+use crate::channel::add_awgn;
 use crate::complex::{inner_product, mean_power, Complex};
 use crate::msk::{MskConfig, MskModulator};
 use rand::Rng;
@@ -139,8 +139,8 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
 /// Copies `mixed` into `out` and injects Gaussian noise of standard
 /// deviation `extra_noise_std` per real dimension — the RNG-consuming half
 /// of a cascaded attempt, split out so callers can hand it a *per-record
-/// counter stream* and run it inside the parallel evaluation phase. One
-/// Box-Muller pair covers each complex sample (`re ← z0`, `im ← z1`);
+/// counter stream* and run it inside the parallel evaluation phase. The
+/// noise comes from [`add_awgn`], one normal pair per complex sample;
 /// realizations depend only on the stream handed in, never on what other
 /// records drew.
 pub fn degrade_into<R: Rng + ?Sized>(
@@ -151,12 +151,8 @@ pub fn degrade_into<R: Rng + ?Sized>(
 ) {
     out.clear();
     out.extend_from_slice(mixed);
-    if extra_noise_std <= 0.0 {
-        return;
-    }
-    for s in out.iter_mut() {
-        let (re, im) = standard_normal_pair(rng);
-        *s += Complex::new(extra_noise_std * re, extra_noise_std * im);
+    if extra_noise_std > 0.0 {
+        add_awgn(out, extra_noise_std, rng);
     }
 }
 
@@ -186,14 +182,17 @@ pub fn resolve_prepared(
             residual_snr_db: f64::NEG_INFINITY,
         };
     }
-    if let Err(e) = anc::subtract_known_prepared(samples, known, cache, scratch) {
-        return ResolutionAttempt {
-            recovered: Err(e),
-            residual_snr_db: f64::NEG_INFINITY,
-        };
-    }
+    let powers = match anc::subtract_known_prepared(samples, known, cache, scratch) {
+        Ok(powers) => powers,
+        Err(e) => {
+            return ResolutionAttempt {
+                recovered: Err(e),
+                residual_snr_db: f64::NEG_INFINITY,
+            }
+        }
+    };
 
-    let residual_power = mean_power(&scratch.residual);
+    let residual_power = powers.residual;
     // Effective noise power per complex sample: channel AWGN plus the
     // injected accumulation term, each contributing 2σ².
     let noise_power = 2.0 * (noise_floor_std * noise_floor_std + extra_noise_std * extra_noise_std);
@@ -208,12 +207,15 @@ pub fn resolve_prepared(
         f64::INFINITY
     };
 
-    let floor = (anc::EMPTY_RESIDUAL_FRACTION * mean_power(samples)).max(anc::EMPTY_RESIDUAL_POWER);
+    let floor = (anc::EMPTY_RESIDUAL_FRACTION * powers.samples).max(anc::EMPTY_RESIDUAL_POWER);
     let recovered = if residual_power < floor {
         Err(AncError::EmptyResidual)
     } else {
+        // Past the floor the residual carries at least
+        // EMPTY_RESIDUAL_POWER (or is NaN), so decode_singleton_with's own
+        // silence check would pass: skip re-summing the power.
         let crate::anc::ResolveScratch { residual, bits, .. } = scratch;
-        anc::decode_singleton_with(residual, cfg, bits).ok_or(AncError::CrcMismatch)
+        anc::decode_crc_valid(residual, cfg, bits).ok_or(AncError::CrcMismatch)
     };
     ResolutionAttempt {
         recovered,
@@ -376,6 +378,136 @@ mod tests {
             }
         }
         assert!(failures >= 8, "only {failures}/10 failed under heavy noise");
+    }
+
+    /// The pre-fusion resolve: `subtract_known` (the allocating joint fit,
+    /// Gram diagonal recomputed) and separate `mean_power` calls.
+    fn unfused_resolve(
+        samples: &[Complex],
+        known: &[TagId],
+        noise_floor_std: f64,
+        extra_noise_std: f64,
+    ) -> (ResolutionAttempt, Option<(Vec<Complex>, f64, f64)>) {
+        let residual = match anc::subtract_known(samples, known, &cfg()) {
+            Ok(r) => r,
+            Err(e) => {
+                let attempt = ResolutionAttempt {
+                    recovered: Err(e),
+                    residual_snr_db: f64::NEG_INFINITY,
+                };
+                return (attempt, None);
+            }
+        };
+        let residual_power = mean_power(&residual);
+        let sample_power = mean_power(samples);
+        let noise_power =
+            2.0 * (noise_floor_std * noise_floor_std + extra_noise_std * extra_noise_std);
+        let residual_snr_db = if noise_power > 0.0 {
+            let signal = (residual_power - noise_power).max(0.0);
+            if signal > 0.0 {
+                10.0 * (signal / noise_power).log10()
+            } else {
+                f64::NEG_INFINITY
+            }
+        } else {
+            f64::INFINITY
+        };
+        let floor = (anc::EMPTY_RESIDUAL_FRACTION * sample_power).max(anc::EMPTY_RESIDUAL_POWER);
+        let recovered = if residual_power < floor {
+            Err(AncError::EmptyResidual)
+        } else {
+            anc::decode_singleton(&residual, &cfg()).ok_or(AncError::CrcMismatch)
+        };
+        let attempt = ResolutionAttempt {
+            recovered,
+            residual_snr_db,
+        };
+        (attempt, Some((residual, sample_power, residual_power)))
+    }
+
+    fn assert_bits_eq(a: f64, b: f64, what: &str) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+    }
+
+    #[test]
+    fn fused_resolve_matches_unfused_passes() {
+        let mut cache = ReferenceCache::new(&cfg());
+        let mut scratch = ResolveScratch::default();
+        let mut outcomes = std::collections::BTreeSet::new();
+        for (case, noise) in [0.0, 0.01, 0.2].into_iter().enumerate() {
+            let model = ChannelModel::default().with_noise_std(noise);
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(700 + 10 * case as u64 + seed);
+                let ids: Vec<TagId> = (0..4)
+                    .map(|i| spread(1_000 * (u128::from(seed) + 1) + i))
+                    .collect();
+                for k in 1..=3usize {
+                    let mixed = transmit_mixed(&ids[..=k], &cfg(), &model, &mut rng);
+                    let everything = ids[..=k].to_vec();
+                    let duplicated = vec![ids[0]; k + 1];
+                    for known in [&ids[..k], &everything[..], &duplicated[..], &ids[1..=k]] {
+                        for &id in known {
+                            cache.ensure(id);
+                        }
+                        let got = resolve_prepared(
+                            &mixed,
+                            known,
+                            &cfg(),
+                            noise,
+                            0.05,
+                            &cache,
+                            &mut scratch,
+                        );
+                        let (expect, passes) = unfused_resolve(&mixed, known, noise, 0.05);
+                        assert_eq!(got.recovered, expect.recovered);
+                        assert_bits_eq(got.residual_snr_db, expect.residual_snr_db, "snr");
+                        outcomes.insert(format!("{:?}", expect.recovered.clone().map(|_| ())));
+                        let powers =
+                            anc::subtract_known_prepared(&mixed, known, &cache, &mut scratch);
+                        match (powers, passes) {
+                            (Ok(p), Some((residual, sample_power, residual_power))) => {
+                                assert_bits_eq(p.samples, sample_power, "sample power");
+                                assert_bits_eq(p.residual, residual_power, "residual power");
+                                assert_eq!(scratch.residual.len(), residual.len());
+                                for (g, e) in scratch.residual.iter().zip(&residual) {
+                                    assert_bits_eq(g.re, e.re, "residual re");
+                                    assert_bits_eq(g.im, e.im, "residual im");
+                                }
+                            }
+                            (Err(e), None) => assert_eq!(Err(e), expect.recovered),
+                            (p, r) => panic!("paths diverged: {p:?} vs {:?}", r.is_some()),
+                        }
+                    }
+                }
+            }
+        }
+        // The cases above must reach every outcome the floor and the fit
+        // can produce, not just successful decodes.
+        for outcome in ["Ok(())", "Err(CrcMismatch)", "Err(EmptyResidual)"] {
+            assert!(
+                outcomes.contains(outcome),
+                "{outcome} never reached: {outcomes:?}"
+            );
+        }
+        assert!(
+            outcomes.iter().any(|o| o.starts_with("Err(GainFit")),
+            "GainFit never reached: {outcomes:?}"
+        );
+    }
+
+    #[test]
+    fn fused_resolve_with_no_knowns_measures_the_samples() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mixed = transmit_mixed(&[spread(9)], &cfg(), &ChannelModel::default(), &mut rng);
+        let cache = ReferenceCache::new(&cfg());
+        let mut scratch = ResolveScratch::default();
+        let powers = anc::subtract_known_prepared(&mixed, &[], &cache, &mut scratch).unwrap();
+        assert_bits_eq(powers.samples, mean_power(&mixed), "sample power");
+        assert_bits_eq(powers.residual, mean_power(&mixed), "residual power");
+        assert_eq!(scratch.residual, mixed);
+        let got = resolve_prepared(&mixed, &[], &cfg(), 0.01, 0.0, &cache, &mut scratch);
+        assert_eq!(got, unfused_resolve(&mixed, &[], 0.01, 0.0).0);
+        assert_eq!(got.recovered, Ok(spread(9)));
     }
 
     #[test]

@@ -45,26 +45,23 @@ pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
 /// [`standard_normal_pair`]).
 ///
 /// Scalar convenience for call sites that need exactly one variate; bulk
-/// fills should use [`fill_standard_normal_into`] or consume pairs directly
-/// so the sine variate isn't discarded.
+/// noise should go through [`add_awgn`], which uses both halves.
 #[must_use]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     standard_normal_pair(rng).0
 }
 
-/// Batched normal fill: writes one standard-normal variate per element of
-/// `out`, consuming one polar transform per `chunks_exact` pair (the
-/// second variate lands in the pair's second element instead of being
-/// discarded). An odd tail costs one extra transform.
-pub fn fill_standard_normal_into<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut chunks = out.chunks_exact_mut(2);
-    for pair in &mut chunks {
-        let (z0, z1) = standard_normal_pair(rng);
-        pair[0] = z0;
-        pair[1] = z1;
-    }
-    if let [last] = chunks.into_remainder() {
-        *last = standard_normal_pair(rng).0;
+/// The one AWGN kernel: adds complex Gaussian noise of standard deviation
+/// `std` per real dimension to every sample, one [`standard_normal_pair`]
+/// per sample in sample order (`re += std·z0`, `im += std·z1`).
+///
+/// Receiver noise ([`ChannelModel::add_noise`]) and cascade degradation
+/// ([`crate::cascade::degrade_into`]) both draw through here, so a stream
+/// handed to either sees the same draws and is left in the same state.
+pub fn add_awgn<R: Rng + ?Sized>(samples: &mut [Complex], std: f64, rng: &mut R) {
+    for s in samples {
+        let (re, im) = standard_normal_pair(rng);
+        *s += Complex::new(std * re, std * im);
     }
 }
 
@@ -243,17 +240,13 @@ impl ChannelModel {
         }
     }
 
-    /// Adds receiver noise in place: one normal pair per complex sample
-    /// (`re ← z0`, `im ← z1`), so a span of `n` samples costs `n` transforms
-    /// instead of `2n` single-variate draws.
+    /// Adds receiver noise in place through [`add_awgn`]: one normal pair
+    /// per complex sample, none at all in a noiseless model.
     pub fn add_noise<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
         if self.noise_std == 0.0 {
             return;
         }
-        for s in samples {
-            let (re, im) = standard_normal_pair(rng);
-            *s += Complex::new(self.noise_std * re, self.noise_std * im);
-        }
+        add_awgn(samples, self.noise_std, rng);
     }
 
     /// The mean per-sample SNR (in dB) of a single component of amplitude
@@ -414,26 +407,58 @@ mod tests {
         assert!(cross.abs() < 0.02, "pair cross-correlation {cross}");
     }
 
-    #[test]
-    fn fill_kernel_matches_pair_sequence_and_handles_odd_tails() {
-        // The fill kernel is the pair generator laid out flat: same draws,
-        // same values, and an odd tail takes the cosine half of one extra
-        // transform.
-        for len in [0usize, 1, 2, 7, 64, 769] {
-            let mut filled = vec![0.0f64; len];
-            fill_standard_normal_into(&mut StdRng::seed_from_u64(17), &mut filled);
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut expect = Vec::with_capacity(len);
-            while expect.len() + 2 <= len {
-                let (z0, z1) = standard_normal_pair(&mut rng);
-                expect.push(z0);
-                expect.push(z1);
-            }
-            if expect.len() < len {
-                expect.push(standard_normal_pair(&mut rng).0);
-            }
-            assert_eq!(filled, expect, "len {len}");
+    /// The AWGN kernel's oracle: a sequential pair loop.
+    fn awgn_by_pairs<R: Rng>(samples: &mut [Complex], std: f64, rng: &mut R) {
+        for s in samples.iter_mut() {
+            let (z0, z1) = standard_normal_pair(rng);
+            s.re += std * z0;
+            s.im += std * z1;
         }
+    }
+
+    fn assert_awgn_matches_pairs<R: Rng + Clone>(rng: R) {
+        for len in 0..=200usize {
+            let clean: Vec<Complex> = (0..len)
+                .map(|n| Complex::new((n as f64).sin(), -(n as f64 * 0.3).cos()))
+                .collect();
+            let (mut kernel_rng, mut oracle_rng) = (rng.clone(), rng.clone());
+            let mut got = clean.clone();
+            add_awgn(&mut got, 0.37, &mut kernel_rng);
+            let mut expect = clean;
+            awgn_by_pairs(&mut expect, 0.37, &mut oracle_rng);
+            for (g, e) in got.iter().zip(&expect) {
+                assert_eq!(g.re.to_bits(), e.re.to_bits(), "len {len}");
+                assert_eq!(g.im.to_bits(), e.im.to_bits(), "len {len}");
+            }
+            // Same draws consumed: the generators continue identically.
+            assert_eq!(
+                kernel_rng.gen::<u64>(),
+                oracle_rng.gen::<u64>(),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn awgn_kernel_matches_pair_sequence_under_std_rng() {
+        assert_awgn_matches_pairs(StdRng::seed_from_u64(17));
+    }
+
+    #[test]
+    fn awgn_kernel_matches_pair_sequence_under_counter_rng() {
+        let seed = rfid_sim::noise_stream_seed(17, 3, 2);
+        assert_awgn_matches_pairs(rfid_sim::CounterRng::new(seed));
+    }
+
+    #[test]
+    fn add_noise_and_degrade_share_the_kernel() {
+        let model = ChannelModel::default().with_noise_std(0.2);
+        let clean = vec![Complex::new(0.5, -0.25); 97];
+        let mut noisy = clean.clone();
+        model.add_noise(&mut noisy, &mut StdRng::seed_from_u64(4));
+        let mut degraded = Vec::new();
+        crate::cascade::degrade_into(&clean, 0.2, &mut StdRng::seed_from_u64(4), &mut degraded);
+        assert_eq!(noisy, degraded);
     }
 
     /// Abramowitz & Stegun 7.1.26 erf approximation (max abs error 1.5e-7);
@@ -452,14 +477,16 @@ mod tests {
     }
 
     #[test]
-    fn fill_kernel_passes_ks_style_normality_check() {
-        // KS distance of the empirical CDF against Φ. The 99% critical
-        // value at n=20_000 is 1.63/√n ≈ 0.0115; the fixed seed keeps this
+    fn awgn_kernel_passes_ks_style_normality_check() {
+        // KS distance of the empirical CDF against Φ over both halves of
+        // unit-std noise on a zero signal. The 99% critical value at
+        // n=20_000 is 1.63/√n ≈ 0.0115; the fixed seed keeps this
         // deterministic, and the bound fails loudly for e.g. a var-0.9 or
         // mean-0.05 stream.
         let n = 20_000;
-        let mut draws = vec![0.0f64; n];
-        fill_standard_normal_into(&mut StdRng::seed_from_u64(23), &mut draws);
+        let mut noise = vec![Complex::ZERO; n / 2];
+        add_awgn(&mut noise, 1.0, &mut StdRng::seed_from_u64(23));
+        let mut draws: Vec<f64> = noise.iter().flat_map(|z| [z.re, z.im]).collect();
         draws.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mut d_max = 0.0f64;
         for (i, x) in draws.iter().enumerate() {

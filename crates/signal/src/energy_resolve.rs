@@ -21,11 +21,11 @@
 //! found by minimizing the residual's envelope variance over a grid plus
 //! golden-section refinement.
 //!
-//! The `ablation-snr` experiment compares this receiver against the LS
-//! resolver; the LS one is uniformly more robust (it estimates amplitude
-//! and phase jointly and coherently), which is itself a result worth
-//! recording: the paper's throughput numbers do not depend on the original
-//! receiver being optimal.
+//! No experiment runs this receiver: `ablation-snr` and every protocol
+//! path resolve with the LS resolver, and only the component benchmark
+//! (`crates/bench/benches/components.rs`) and the input-robustness tests
+//! (`tests/signal_robustness.rs`) call it. It is kept as the reference
+//! form of the paper's original receiver.
 
 use crate::anc::{estimate_two_amplitudes, AncError};
 use crate::complex::Complex;

@@ -13,7 +13,10 @@
 //! are order-independent across elements, so chunking cannot change a
 //! single bit of the result. Reductions (inner products, mean power) are
 //! *not* chunked anywhere in this crate: their summation order is part of
-//! the golden-report contract.
+//! the golden-report contract. A kernel may *fuse* passes — carry several
+//! sums through one loop, as [`power_sums`] does — because each
+//! sum still adds its own terms one at a time in sample order; fusing
+//! interleaves independent sums, it never reassociates one.
 
 use crate::complex::Complex;
 
@@ -70,6 +73,19 @@ pub fn sub_scaled(residual: &mut [Complex], wave: &[Complex], gain: Complex) {
     }
 }
 
+/// `(Σ|a[n]|², Σ|b[n]|²)` over the overlapping prefix in one pass, each
+/// summed in sample order exactly as `mean_power` sums it. Two
+/// independent sums share the loop, so they cost about one.
+pub fn power_sums(a: &[Complex], b: &[Complex]) -> (f64, f64) {
+    let mut sum_a = 0.0;
+    let mut sum_b = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        sum_a += x.norm_sqr();
+        sum_b += y.norm_sqr();
+    }
+    (sum_a, sum_b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +127,23 @@ mod tests {
                 *acc += s;
             }
             assert_eq!(a, b, "n={n}");
+        }
+    }
+
+    #[test]
+    fn power_sums_match_mean_power() {
+        for n in [0, 1, 7, 8, 769] {
+            let (a, b) = (wave(n, 0.3), wave(n, -1.1));
+            let (sa, sb) = power_sums(&a, &b);
+            let len = n.max(1) as f64;
+            assert_eq!(
+                (sa / len).to_bits(),
+                crate::complex::mean_power(&a).to_bits()
+            );
+            assert_eq!(
+                (sb / len).to_bits(),
+                crate::complex::mean_power(&b).to_bits()
+            );
         }
     }
 

@@ -73,9 +73,7 @@ pub use cascade::{
     cascade_noise_std, degrade_into, resolve_cascaded, resolve_cascaded_cached, resolve_prepared,
     ResolutionAttempt,
 };
-pub use channel::{
-    fill_standard_normal_into, standard_normal, standard_normal_pair, ChannelModel, ChannelParams,
-};
+pub use channel::{add_awgn, standard_normal, standard_normal_pair, ChannelModel, ChannelParams};
 pub use complex::Complex;
 pub use energy_resolve::resolve_two_energy;
 pub use msk::{MskConfig, MskDemodulator, MskModulator};

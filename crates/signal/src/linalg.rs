@@ -163,7 +163,7 @@ pub fn least_squares_gains(
     solve(&gram, &proj)
 }
 
-/// Reusable working memory for [`least_squares_gains_with`]: the `k×k`
+/// Reusable working memory for [`least_squares_gains_by`]: the `k×k`
 /// Gram matrix (row-major flat) and the projection vector. Systems are
 /// tiny, so this exists purely to keep the per-attempt hot path
 /// allocation-free, not to save space.
@@ -173,42 +173,33 @@ pub struct LsScratch {
     proj: Vec<Complex>,
 }
 
-/// Allocation-free [`least_squares_gains`] over borrowed basis slices:
-/// writes the fitted gains into `gains` (cleared first), reusing
+/// Allocation-free [`least_squares_gains`] over a basis supplied by an
+/// indexing closure — lets callers fit against spans of a contiguous arena
+/// (e.g. the reference cache) without materializing a slice-of-slices.
+/// Writes the fitted gains into `gains` (cleared first), reusing
 /// `scratch`'s capacity.
 ///
-/// Forms the identical Gram/projection inner products in the identical
-/// order and runs the identical elimination sequence as the allocating
-/// variant, so the gains are bit-identical.
+/// The Gram diagonal is taken from `self_energy(i)`, which must equal
+/// `inner_product(basis(i), basis(i))` bit for bit (a cache measures it
+/// once per reference). Every other Gram entry and every projection is
+/// the same inner product in the same order as the allocating variant,
+/// and the elimination is the same sequence, so the gains are
+/// bit-identical.
 ///
 /// # Errors
 ///
 /// Same contract as [`least_squares_gains`].
-pub fn least_squares_gains_with(
-    basis: &[&[Complex]],
-    y: &[Complex],
-    scratch: &mut LsScratch,
-    gains: &mut Vec<Complex>,
-) -> Result<(), SolveError> {
-    least_squares_gains_by(basis.len(), |j| basis[j], y, scratch, gains)
-}
-
-/// [`least_squares_gains_with`] with the basis supplied by an indexing
-/// closure — lets callers fit against spans of a contiguous arena (e.g.
-/// the reference cache) without materializing a slice-of-slices.
-///
-/// # Errors
-///
-/// Same contract as [`least_squares_gains`].
-pub fn least_squares_gains_by<'a, F>(
+pub fn least_squares_gains_by<'a, F, E>(
     k: usize,
     basis: F,
+    self_energy: E,
     y: &[Complex],
     scratch: &mut LsScratch,
     gains: &mut Vec<Complex>,
 ) -> Result<(), SolveError>
 where
     F: Fn(usize) -> &'a [Complex],
+    E: Fn(usize) -> Complex,
 {
     gains.clear();
     if k == 0 {
@@ -227,7 +218,11 @@ where
     scratch.proj.resize(k, Complex::ZERO);
     for i in 0..k {
         for j in 0..k {
-            scratch.gram[i * k + j] = crate::complex::inner_product(basis(j), basis(i));
+            scratch.gram[i * k + j] = if i == j {
+                self_energy(i)
+            } else {
+                crate::complex::inner_product(basis(j), basis(i))
+            };
         }
         scratch.proj[i] = crate::complex::inner_product(y, basis(i));
     }
@@ -441,10 +436,20 @@ mod tests {
         for k in 0..=3usize {
             let owned: Vec<Vec<Complex>> = [s1.clone(), s2.clone(), s3.clone()][..k].to_vec();
             let nested = least_squares_gains(&owned, &y);
-            let views: Vec<&[Complex]> = owned.iter().map(Vec::as_slice).collect();
+            let energies: Vec<Complex> = owned
+                .iter()
+                .map(|s| crate::complex::inner_product(s, s))
+                .collect();
             let mut scratch = LsScratch::default();
             let mut gains = Vec::new();
-            let flat = least_squares_gains_with(&views, &y, &mut scratch, &mut gains);
+            let flat = least_squares_gains_by(
+                k,
+                |j| &owned[j],
+                |j| energies[j],
+                &y,
+                &mut scratch,
+                &mut gains,
+            );
             match (nested, flat) {
                 (Ok(expect), Ok(())) => {
                     assert_eq!(expect.len(), gains.len());
