@@ -19,16 +19,11 @@
 //! `--baseline FILE` points at a previous run's JSON (e.g. captured before
 //! an optimization); per-entry speedups are computed and embedded in the
 //! output. `--gate FILE` points at the committed `BENCH_*.json` and fails
-//! the run if any `*/signal-soa*` cell's sampled-normalized throughput —
-//! including the `-t{2,4,8}` thread-scaling cells — drops more than
-//! [`GATE_TOLERANCE`] (20%) below the committed ratio; in smoke mode the
-//! cells the gate compares keep the full-mode 200 ms budget instead of
-//! 5 ms, so neither side of a ratio rests on one or two timings (each
-//! entry records its budget). Smoke mode also runs
-//! a `threads ∈ {4, 8}` determinism matrix: counter-based noise streams
-//! make every realization a pure function of `(seed, record, hop)`, so the
-//! scoped-thread peeling pass must reproduce the single-worker report
-//! byte-identically at every worker count.
+//! the run if any `*/signal-soa*` cell's sampled-normalized throughput
+//! drops more than [`GATE_TOLERANCE`] (20%) below the committed ratio; in
+//! smoke mode the cells the gate compares keep the full-mode 200 ms budget
+//! instead of 5 ms, so neither side of a ratio rests on one or two timings
+//! (each entry records its budget).
 
 use criterion::measure_with_budget;
 use rfid_anc::{
@@ -84,9 +79,9 @@ pub struct BenchOptions {
     /// Previous `BENCH_*.json` to compute speedups against.
     pub baseline: Option<PathBuf>,
     /// Committed `BENCH_*.json` to enforce the signal-throughput gate
-    /// against: each `*/signal-soa*` cell's slots/s (thread-scaling cells
-    /// included), normalized by the matching sampled-membership cell at the
-    /// same `n` (so the gate is machine-speed independent), must stay within
+    /// against: each `*/signal-soa*` cell's slots/s, normalized by the
+    /// matching sampled-membership cell at the same `n` (so the gate is
+    /// machine-speed independent), must stay within
     /// [`GATE_TOLERANCE`] of the committed ratio.
     pub gate: Option<PathBuf>,
     /// Output JSON path.
@@ -187,7 +182,7 @@ fn protocol_specs() -> Vec<(String, Option<f64>, Runner)> {
     ));
     // Signal-backed resolution: same slot-level engine, but every collision
     // deposit synthesizes a waveform into the SoA arena and every
-    // resolution runs the batched DSP chain. Gated by its own allowance.
+    // resolution runs the DSP chain. Gated by its own allowance.
     let signal_fcat = Fcat::new(FcatConfig::default().with_resolution(
         ResolutionModel::SignalBacked(SignalResolutionConfig::default().with_noise_std(0.1)),
     ));
@@ -204,34 +199,6 @@ fn protocol_specs() -> Vec<(String, Option<f64>, Runner)> {
         Some(MAX_ALLOCS_PER_SLOT_SIGNAL),
         Box::new(move |tags, cfg| run_inventory(&signal_scat, tags, cfg)),
     ));
-    // Thread-scaling cells: the same signal-backed inventories with the
-    // batch evaluation phase fanned out over scoped workers. Counter-based
-    // noise streams keep the reports byte-identical to the `threads = 1`
-    // rows above, so these cells isolate pure wall-clock scaling. Exempt
-    // from the allocation gate — each batch flush pays O(threads) spawn
-    // allocations by design.
-    for t in [2usize, 4, 8] {
-        let fcat = Fcat::new(
-            FcatConfig::default().with_resolution(ResolutionModel::SignalBacked(
-                SignalResolutionConfig::default().with_noise_std(0.1),
-            )),
-        );
-        specs.push((
-            format!("fcat2/signal-soa-t{t}"),
-            None,
-            Box::new(move |tags, cfg| run_inventory(&fcat, tags, &cfg.clone().with_threads(t))),
-        ));
-        let scat = Scat::new(
-            ScatConfig::default().with_resolution(ResolutionModel::SignalBacked(
-                SignalResolutionConfig::default().with_noise_std(0.1),
-            )),
-        );
-        specs.push((
-            format!("scat2/signal-soa-t{t}"),
-            None,
-            Box::new(move |tags, cfg| run_inventory(&scat, tags, &cfg.clone().with_threads(t))),
-        ));
-    }
     let dfsa = Dfsa::new();
     specs.push((
         "dfsa".into(),
@@ -408,16 +375,13 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
     if let Some(gate) = &gate {
         check_throughput_gate(&entries, gate)?;
     }
-
-    if opts.smoke {
-        check_threaded_determinism(opts.seed)?;
-    }
     Ok(())
 }
 
 /// Enforces the signal-throughput gate: for every `*/signal-soa*` cell
-/// (single-threaded and `-t{2,4,8}` scaling rows alike) present in both
-/// this run and the committed gate file, the ratio signal-soa slots/s ÷
+/// present in both this run and the committed gate file (rows of cells
+/// this harness no longer runs find no partner and are skipped), the
+/// ratio signal-soa slots/s ÷
 /// sampled slots/s (same protocol family, same `n`) must not fall more than
 /// [`GATE_TOLERANCE`] below the committed ratio. Normalizing by a cell
 /// measured in the same run makes the gate insensitive to absolute machine
@@ -519,37 +483,6 @@ fn gate_slots_per_sec(gate: &str, name: &str, n: usize) -> Option<f64> {
         })
         .and_then(|l| extract_json_num(l, "slots_per_sec"))
         .filter(|v| *v > 0.0)
-}
-
-/// Smoke-mode determinism matrix: worker count is a pure wall-clock knob —
-/// every noise realization is a pure function of its `(seed, record, hop)`
-/// counter stream, so a `threads ∈ {4, 8}` inventory must reproduce the
-/// single-worker report exactly (same identified set, slot counts, SNR
-/// trajectory — the whole report compares equal).
-fn check_threaded_determinism(seed: u64) -> Result<(), String> {
-    let n = ALLOC_CHECK_MIN_TAGS;
-    let tags = population::uniform(&mut seeded_rng(1_000 + n as u64), n);
-    let signal = Fcat::new(
-        FcatConfig::default().with_resolution(ResolutionModel::SignalBacked(
-            SignalResolutionConfig::default().with_noise_std(0.1),
-        )),
-    );
-    let config = SimConfig::default().with_seed(seed);
-    let single =
-        run_inventory(&signal, &tags, &config).map_err(|e| format!("determinism cell: {e}"))?;
-    for threads in [4usize, 8] {
-        let threaded = run_inventory(&signal, &tags, &config.clone().with_threads(threads))
-            .map_err(|e| format!("determinism cell (threads={threads}): {e}"))?;
-        if single != threaded {
-            return Err(format!(
-                "threads={threads} diverged from threads=1 at n={n}: \
-                 identified {} vs {}, slots {:?} vs {:?}",
-                single.identified, threaded.identified, single.slots, threaded.slots
-            ));
-        }
-        println!("determinism: fcat2/signal-soa threads={threads} == threads=1 at n={n}");
-    }
-    Ok(())
 }
 
 #[derive(Debug)]

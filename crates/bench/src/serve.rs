@@ -33,7 +33,7 @@
 //! queue capacity regardless of consumer speed.
 //!
 //! **Error contract:** malformed or invalid requests (unparseable JSON,
-//! `threads: 0`, non-positive grid spacing, …) produce a single
+//! unknown fields, non-positive grid spacing, …) produce a single
 //! `{"type":"error","message":…}` line; the connection stays usable for
 //! further requests. No request payload can panic the server.
 //!
@@ -122,7 +122,6 @@ impl Default for ServeOptions {
 /// | `range`               | number | `= spacing`    | reader coverage radius, meters |
 /// | `interference_radius` | number | `0.0`          | reader-to-reader conflict radius |
 /// | `workers`             | int    | server default | sharded worker pool size |
-/// | `threads`             | int    | `1`            | per-site peeling threads ([`SimConfig::with_threads`]) |
 /// | `max_slots`           | int    | sim default    | per-site runaway cap |
 /// | `hash_bits`           | int    | `16`           | advertisement hash width |
 /// | `queue_capacity`      | int    | server default | stream backpressure bound (lines) |
@@ -167,7 +166,7 @@ pub struct SweepRequest {
     /// Churn-monitoring parameters; `Some` switches the request into
     /// continuous-monitoring mode.
     pub churn: Option<ChurnParams>,
-    /// The per-site simulation config (seed, threads, caps — validated).
+    /// The per-site simulation config (seed, caps — validated).
     pub config: SimConfig,
 }
 
@@ -310,7 +309,6 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<SweepRequest
         "range",
         "interference_radius",
         "workers",
-        "threads",
         "max_slots",
         "hash_bits",
         "queue_capacity",
@@ -484,12 +482,10 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<SweepRequest
     // (fine for programmatic use), so every externally supplied value is
     // range-checked *before* the builder runs, and `SimConfig::validate`
     // double-checks the assembled config at run start.
-    let threads = uint(&value, "threads", 1, 1, 1024)? as usize;
     let max_slots = uint(&value, "max_slots", 0, 1, u64::MAX)?;
     let hash_bits = uint(&value, "hash_bits", 16, 1, 32)? as u32;
     let mut config = SimConfig::default()
         .with_seed(seed)
-        .with_threads(threads)
         .with_hash_bits(hash_bits);
     if value.get("max_slots").is_some() {
         config = config.with_max_slots(max_slots);
@@ -936,7 +932,7 @@ mod tests {
         assert_eq!(req.workers, opts.workers);
         let req = parse_request(
             r#"{"protocol":"SCAT","lambda":4,"seed":9,"tags":50,"width":30,"height":20,
-                "spacing":10,"range":8,"workers":2,"threads":3,"queue_capacity":16,
+                "spacing":10,"range":8,"workers":2,"queue_capacity":16,
                 "drain_delay_ms":5}"#,
             &opts,
         )
@@ -944,7 +940,6 @@ mod tests {
         assert_eq!(req.protocol, "scat");
         assert_eq!(req.lambda, 4);
         assert_eq!(req.config.seed(), 9);
-        assert_eq!(req.config.threads(), 3);
         assert_eq!(req.workers, 2);
         assert_eq!(req.queue_capacity, 16);
         assert_eq!(req.drain_delay_ms, 5);
@@ -988,7 +983,7 @@ mod tests {
             ("nonsense", "malformed"),
             ("[1,2]", "object"),
             (r#"{"protocol":"alohamora"}"#, "unknown protocol"),
-            (r#"{"threads":0}"#, "threads"),
+            (r#"{"threads":1}"#, "unknown request field \"threads\""),
             (r#"{"max_slots":0}"#, "max_slots"),
             (r#"{"hash_bits":33}"#, "hash_bits"),
             (r#"{"lambda":1}"#, "lambda"),

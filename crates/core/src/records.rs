@@ -198,8 +198,8 @@ struct SignalBackend {
     /// recording AWGN, cascade degradations and re-queries each derive a
     /// counter stream from `(noise_seed, record, hop)`. Kept separate from
     /// the protocol RNG so the contention trajectory is identical to the
-    /// ideal model's, and order-independent so workers can generate noise
-    /// inside the parallel evaluation phase.
+    /// ideal model's; a realization depends only on its key, never on the
+    /// order in which records are attempted.
     noise_seed: u64,
     /// Re-query slots executed so far — keys their dedicated streams.
     requeries: u64,
@@ -212,150 +212,21 @@ struct SignalBackend {
     ids: Vec<TagId>,
     /// Scratch: re-query singleton waveform.
     wave: Vec<Complex>,
-    /// Scratch: recording-noise copy for the unbatched resolve path.
+    /// Scratch: the stored mixture plus its recording AWGN.
     noised: Vec<Complex>,
     /// Contiguous storage for every live synthesized waveform (clean).
     arena: WaveArena,
     /// Reference waveforms shared by deposit-time synthesis and every
     /// subtraction — one modulation per distinct ID per cache generation.
     ref_cache: ReferenceCache,
-    /// Working memory for the sequential (deposit-time) resolve path.
+    /// Working memory for resolution attempts.
     rscratch: ResolveScratch,
-    /// Same-frontier records staged for one batched peeling pass.
-    batch: BatchState,
 }
 
 /// Upper bound on pooled waveform buffers; beyond this, freed buffers are
 /// dropped (bounds memory if records are consumed much faster than
 /// deposited).
 const WAVE_POOL_MAX: usize = 64;
-
-/// Most records one batched peeling pass evaluates at once. Bounds the
-/// batch's reference working set (`MAX_BATCH · λ` distinct IDs must fit
-/// the reference cache after one clear) and the retained degraded-copy
-/// scratch. Flushing early never changes results — batch members are
-/// participant-disjoint, so any split of a batch peels identically.
-const MAX_BATCH: usize = 32;
-
-/// Records of one cascade frontier staged for a batched peeling pass,
-/// plus the reusable per-entry and per-worker scratch. Entries between
-/// `live` and `entries.len()` are spent but keep their buffer capacity.
-#[derive(Debug, Default)]
-struct BatchState {
-    entries: Vec<BatchEntry>,
-    live: usize,
-    /// Dense participant indices of every staged record — the conflict
-    /// predicate that keeps batch members disjoint.
-    participants: Vec<u32>,
-    /// One resolve scratch per worker, reused across flushes.
-    scratch: Vec<ResolveScratch>,
-}
-
-/// One record staged for batched peeling: its classification snapshot
-/// (taken against the shared frontier), the reusable noise buffers the
-/// evaluation phase fills from the record's own streams, and the outcome
-/// slots it writes back.
-#[derive(Debug, Default)]
-struct BatchEntry {
-    rec: usize,
-    slot: u64,
-    hop: u32,
-    /// Dense index of the one unknown participant.
-    last: u32,
-    last_tag: Option<TagId>,
-    /// Accumulated-residual noise std for this hop.
-    extra: f64,
-    /// Known participants, snapshotted at staging time.
-    knowns: Vec<TagId>,
-    /// Clean mixture + recording AWGN, generated worker-side on
-    /// [`STREAM_RECORDING_NOISE`] (arena records in a noisy channel only).
-    noised: Vec<Complex>,
-    /// Recording + degradation noise, generated worker-side on the hop's
-    /// stream (filled only when `extra > 0`). Both buffers depend solely
-    /// on `(noise_seed, rec, hop)`, never on evaluation order.
-    degraded: Vec<Complex>,
-    /// Ghost-guarded primary outcome and its residual SNR.
-    primary: Option<(Option<TagId>, f64)>,
-    /// Ghost-guarded salvage-retry outcome, when one ran.
-    retry: Option<(Option<TagId>, f64)>,
-}
-
-/// Evaluates one staged record — the whole noise/mix/subtract/demodulate/
-/// CRC pipeline of a batched peeling pass. Reads shared state only through
-/// `&` (records, arena, reference cache) and draws noise exclusively from
-/// the record's own counter streams, so disjoint entries may run on
-/// separate workers in any order; outcomes land in the entry's slots and
-/// are applied later in record order.
-#[allow(clippy::too_many_arguments)] // flat captures keep the worker closure trivially Send
-fn eval_batch_entry(
-    e: &mut BatchEntry,
-    records: &[Record],
-    arena: &WaveArena,
-    cache: &ReferenceCache,
-    msk: &MskConfig,
-    noise_floor_std: f64,
-    noise_seed: u64,
-    policy: &RecoveryPolicy,
-    scratch: &mut ResolveScratch,
-) {
-    let last_tag = e.last_tag.expect("staged entry carries its unknown tag");
-    let stored: &[Complex] = match &records[e.rec].signal {
-        Wave::Arena(s) => arena.wave(*s),
-        Wave::Owned(v) => v,
-        Wave::None => unreachable!("staged entries always carry a waveform"),
-    };
-    // Arena mixtures are stored clean; realize the receiver noise of the
-    // "recording" here, on the record's dedicated stream. Caller-provided
-    // recordings already carry their air noise.
-    let original: &[Complex] =
-        if matches!(records[e.rec].signal, Wave::Arena(_)) && noise_floor_std > 0.0 {
-            let mut rng = CounterRng::new(noise_stream_seed(
-                noise_seed,
-                e.rec as u64,
-                STREAM_RECORDING_NOISE,
-            ));
-            cascade::degrade_into(stored, noise_floor_std, &mut rng, &mut e.noised);
-            &e.noised
-        } else {
-            stored
-        };
-    let samples: &[Complex] = if e.extra > 0.0 {
-        let mut rng = CounterRng::new(noise_stream_seed(noise_seed, e.rec as u64, e.hop));
-        cascade::degrade_into(original, e.extra, &mut rng, &mut e.degraded);
-        &e.degraded
-    } else {
-        original
-    };
-    let attempt = cascade::resolve_prepared(
-        samples,
-        &e.knowns,
-        msk,
-        noise_floor_std,
-        e.extra,
-        cache,
-        scratch,
-    );
-    // Ghost guard: never credit a CRC-colliding ID nobody owns.
-    let ok = attempt.recovered.ok().filter(|id| *id == last_tag);
-    let failed = ok.is_none();
-    e.primary = Some((ok, attempt.residual_snr_db));
-    if failed && e.hop > 1 && matches!(policy, RecoveryPolicy::SalvagePartial) {
-        // Salvage the partial cascade: depth-1 retry against the stored
-        // record without the chain's accumulated residual. RNG-free, so
-        // it runs on the worker too.
-        let retry = cascade::resolve_prepared(
-            original,
-            &e.knowns,
-            msk,
-            noise_floor_std,
-            0.0,
-            cache,
-            scratch,
-        );
-        let rok = retry.recovered.ok().filter(|id| *id == last_tag);
-        e.retry = Some((rok, retry.residual_snr_db));
-    }
-}
 
 /// The reader's set of outstanding collision records plus its set of known
 /// IDs, with cascade resolution.
@@ -420,11 +291,6 @@ pub struct CollisionRecordStore {
     /// most twice this on return so the pool bounds bytes, not just
     /// buffer count. Zero disables pooling (ideal backend).
     pool_span: usize,
-    /// Worker count for batched peeling (1 = evaluate inline). Thread
-    /// count never changes outcomes: batch members are disjoint, every
-    /// noise term is a pure function of `(noise_seed, record, hop)`, and
-    /// outcomes apply in record order.
-    threads: usize,
 }
 
 impl CollisionRecordStore {
@@ -483,7 +349,6 @@ impl CollisionRecordStore {
                 noised: Vec::new(),
                 arena: WaveArena::new(span),
                 rscratch: ResolveScratch::default(),
-                batch: BatchState::default(),
             })),
         )
     }
@@ -511,14 +376,7 @@ impl CollisionRecordStore {
             failed_log: Vec::new(),
             pool: Vec::new(),
             pool_span,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker count for batched peeling. `n` is clamped to at
-    /// least 1; results are identical at every value (see the field docs).
-    pub(crate) fn set_threads(&mut self, n: usize) {
-        self.threads = n.max(1);
     }
 
     /// Pops a reclaimed waveform buffer (or a fresh one) for the engine's
@@ -768,7 +626,7 @@ impl CollisionRecordStore {
         // Signal-backed stores synthesize the *clean* mixed waveform the
         // reader "recorded" this slot; channel gains come from the
         // record's own parameter stream, and the receiver AWGN is realized
-        // later, at attempt time, inside the (parallel) evaluation phase.
+        // later, at attempt time, from the record's own recording stream.
         // Only usable records are synthesized: spoiled or over-λ records
         // can never be attempted, so their waveform would be dead weight.
         // The waveform goes straight into an arena span; each component is
@@ -865,7 +723,6 @@ impl CollisionRecordStore {
     /// backend accumulate per-hop residual error.
     fn cascade_from(&mut self, idx: u32, depth: u32, resolved: &mut Vec<(u32, Resolved)>) {
         debug_assert!(self.known[idx as usize]);
-        let batched = matches!(self.backend, Backend::Synthesized(_));
         let mut worklist = std::mem::take(&mut self.worklist);
         debug_assert!(worklist.is_empty());
         worklist.push((idx, depth));
@@ -874,285 +731,15 @@ impl CollisionRecordStore {
             // its record list is consulted (nothing is appended to a known
             // tag's list) — take it instead of cloning it.
             let records = std::mem::take(&mut self.by_tag[current as usize]);
-            if batched {
-                // Signal-backed: stage the whole list against the current
-                // known-ID frontier and peel it in (at most a few) batched
-                // passes instead of one resolve per record.
-                for &rec in records.as_slice() {
-                    self.stage_record(rec as usize, d + 1, resolved, &mut worklist);
-                }
-                // The frontier ends with the list: flush before the next
-                // worklist pop changes the known set.
-                self.flush_batch(resolved, &mut worklist);
-            } else {
-                for &rec in records.as_slice() {
-                    if let Some((tag_idx, r)) = self.try_resolve(rec as usize, d + 1) {
-                        self.mark_known(tag_idx);
-                        resolved.push((tag_idx, r));
-                        worklist.push((tag_idx, d + 1));
-                    }
+            for &rec in records.as_slice() {
+                if let Some((tag_idx, r)) = self.try_resolve(rec as usize, d + 1) {
+                    self.mark_known(tag_idx);
+                    resolved.push((tag_idx, r));
+                    worklist.push((tag_idx, d + 1));
                 }
             }
         }
         self.worklist = worklist;
-    }
-
-    /// Whether record `rec` shares a participant with any record already
-    /// staged in the batch. Overlapping records must not share a batch:
-    /// the earlier one's resolution changes the later one's classification
-    /// (its unknown count, or the known set it subtracts with), so the
-    /// later record belongs to the *next* frontier.
-    fn batch_conflicts(&self, rec: usize) -> bool {
-        let Backend::Synthesized(b) = &self.backend else {
-            return false;
-        };
-        if b.batch.live == 0 {
-            return false;
-        }
-        let record = &self.records[rec];
-        record
-            .participants
-            .as_slice()
-            .iter()
-            .any(|t| b.batch.participants.contains(t))
-    }
-
-    /// Classifies record `rec` against the current frontier and either
-    /// disposes of it inline (consumed / still blocked / exhausted / ideal
-    /// gate) or stages it for the next batched peeling pass. Equivalent,
-    /// record for record and RNG draw for RNG draw, to running
-    /// [`Self::try_resolve`] sequentially: a flush applies all staged
-    /// outcomes whenever a record could observe them.
-    fn stage_record(
-        &mut self,
-        rec: usize,
-        hop: u32,
-        resolved: &mut Vec<(u32, Resolved)>,
-        worklist: &mut Vec<(u32, u32)>,
-    ) {
-        if self.batch_conflicts(rec) {
-            self.flush_batch(resolved, worklist);
-        }
-        let record = &self.records[rec];
-        if record.consumed {
-            return;
-        }
-        let mut last = None;
-        for &t in record.participants.as_slice() {
-            if !self.known[t as usize] {
-                if last.is_some() {
-                    // Two or more unknowns: not resolvable yet. No staged
-                    // entry can change that — overlaps were flushed above.
-                    return;
-                }
-                last = Some(t);
-            }
-        }
-        let Some(last) = last else {
-            // Every participant learned elsewhere; nothing left to extract.
-            self.consume_record(rec);
-            self.stats.exhausted += 1;
-            return;
-        };
-        if !self.records[rec].usable {
-            return;
-        }
-        if matches!(self.records[rec].signal, Wave::None) {
-            // Ideal gate (usable record without a waveform): resolving it
-            // mutates the known set, so it cannot join the batch. Flush
-            // first so earlier records' outcomes land in order; the flush
-            // cannot re-classify this record (no shared participants).
-            self.flush_batch(resolved, worklist);
-            let slot = self.records[rec].slot;
-            let tag = self.tags[last as usize];
-            self.consume_record(rec);
-            self.stats.resolved += 1;
-            self.mark_known(last);
-            resolved.push((last, Resolved { tag, slot }));
-            worklist.push((last, hop));
-            return;
-        }
-        // Stage: snapshot the classification against the shared frontier.
-        // No noise is drawn here — every noise term is generated inside
-        // the evaluation phase from the record's own counter streams, so
-        // staging order (and worker count) cannot affect realizations.
-        let full = {
-            let Backend::Synthesized(b) = &mut self.backend else {
-                unreachable!("batched staging only runs signal-backed")
-            };
-            let SignalBackend { cfg, batch, .. } = &mut **b;
-            let record = &self.records[rec];
-            if batch.live == batch.entries.len() {
-                batch.entries.push(BatchEntry::default());
-            }
-            let entry = &mut batch.entries[batch.live];
-            batch.live += 1;
-            entry.rec = rec;
-            entry.slot = record.slot;
-            entry.hop = hop;
-            entry.last = last;
-            entry.last_tag = Some(self.tags[last as usize]);
-            entry.primary = None;
-            entry.retry = None;
-            entry.knowns.clear();
-            for &t in record.participants.as_slice() {
-                if self.known[t as usize] {
-                    entry.knowns.push(self.tags[t as usize]);
-                }
-                batch.participants.push(t);
-            }
-            let base = cfg.channel.noise_std();
-            entry.extra = cascade::cascade_noise_std(base, cfg.residual_per_hop, hop);
-            batch.live >= MAX_BATCH
-        };
-        if full {
-            self.flush_batch(resolved, worklist);
-        }
-    }
-
-    /// Peels every staged record in one pass: warm the shared reference
-    /// cache, evaluate the (pure, disjoint) entries — inline, or fanned
-    /// out over `std::thread::scope` workers when `threads > 1` — then
-    /// apply the outcomes strictly in record order. Log entries, stats,
-    /// consumption, knowledge and worklist pushes appear exactly as the
-    /// sequential path would emit them, so worker count never changes a
-    /// single reported bit.
-    fn flush_batch(&mut self, resolved: &mut Vec<(u32, Resolved)>, worklist: &mut Vec<(u32, u32)>) {
-        let mut batch = match &mut self.backend {
-            Backend::Synthesized(b) if b.batch.live > 0 => std::mem::take(&mut b.batch),
-            Backend::Synthesized(b) => {
-                b.batch.participants.clear();
-                return;
-            }
-            _ => return,
-        };
-        let live = batch.live;
-        // Warm every reference the batch subtracts with. `try_ensure`
-        // never evicts; if the cache cannot take the working set, clear
-        // once and re-warm — a batch is bounded so it always fits an
-        // empty cache.
-        {
-            let Backend::Synthesized(b) = &mut self.backend else {
-                unreachable!()
-            };
-            let cache = &mut b.ref_cache;
-            let mut fits = true;
-            for entry in &batch.entries[..live] {
-                for &id in &entry.knowns {
-                    fits &= cache.try_ensure(id);
-                }
-            }
-            if !fits {
-                cache.clear();
-                for entry in &batch.entries[..live] {
-                    for &id in &entry.knowns {
-                        let ok = cache.try_ensure(id);
-                        debug_assert!(ok, "batch references must fit an empty cache");
-                    }
-                }
-            }
-        }
-        // Evaluate: the full noise/subtract/demodulate/CRC pipeline over
-        // disjoint records against shared read-only state, noise included
-        // (each record's streams are derived from `(noise_seed, rec, hop)`
-        // alone). Chunked across scoped workers when asked to.
-        {
-            let Backend::Synthesized(b) = &self.backend else {
-                unreachable!()
-            };
-            let records = self.records.as_slice();
-            let (arena, cache, msk) = (&b.arena, &b.ref_cache, &b.cfg.msk);
-            let base = b.cfg.channel.noise_std();
-            let noise_seed = b.noise_seed;
-            let policy = &b.policy;
-            let workers = self.threads.min(live).max(1);
-            if batch.scratch.len() < workers {
-                batch.scratch.resize_with(workers, ResolveScratch::default);
-            }
-            let entries = &mut batch.entries[..live];
-            if workers == 1 {
-                let scratch = &mut batch.scratch[0];
-                for entry in entries.iter_mut() {
-                    eval_batch_entry(
-                        entry, records, arena, cache, msk, base, noise_seed, policy, scratch,
-                    );
-                }
-            } else {
-                let chunk = live.div_ceil(workers);
-                std::thread::scope(|s| {
-                    for (chunk_entries, scratch) in
-                        entries.chunks_mut(chunk).zip(batch.scratch.iter_mut())
-                    {
-                        s.spawn(move || {
-                            for entry in chunk_entries.iter_mut() {
-                                eval_batch_entry(
-                                    entry, records, arena, cache, msk, base, noise_seed, policy,
-                                    scratch,
-                                );
-                            }
-                        });
-                    }
-                });
-            }
-        }
-        // Apply in record order.
-        let requery = matches!(
-            &self.backend,
-            Backend::Synthesized(b) if matches!(b.policy, RecoveryPolicy::Requery { .. })
-        );
-        for i in 0..live {
-            let entry = &mut batch.entries[i];
-            let (rec, slot, hop, last) = (entry.rec, entry.slot, entry.hop, entry.last);
-            let (primary_ok, primary_snr) = entry.primary.take().expect("evaluated entry");
-            let retry = entry.retry.take();
-            if self.log_attempts {
-                self.attempt_log.push(ResolutionAttemptLog {
-                    record_slot: slot,
-                    hop,
-                    residual_snr_db: primary_snr,
-                    success: primary_ok.is_some(),
-                });
-            }
-            let mut ok = primary_ok;
-            if let Some((retry_ok, retry_snr)) = retry {
-                ok = retry_ok;
-                if self.log_attempts {
-                    self.attempt_log.push(ResolutionAttemptLog {
-                        record_slot: slot,
-                        hop: 1,
-                        residual_snr_db: retry_snr,
-                        success: retry_ok.is_some(),
-                    });
-                }
-                if retry_ok.is_some() {
-                    self.stats.salvaged += 1;
-                }
-            }
-            if ok.is_none() && requery {
-                self.failed_log.push(FailedResolution {
-                    record_slot: slot,
-                    unknown: last,
-                });
-            }
-            self.consume_record(rec);
-            match ok {
-                Some(tag) => {
-                    self.stats.resolved += 1;
-                    self.mark_known(last);
-                    resolved.push((last, Resolved { tag, slot }));
-                    worklist.push((last, hop));
-                }
-                None => {
-                    self.stats.failed_attempts += 1;
-                }
-            }
-        }
-        batch.live = 0;
-        batch.participants.clear();
-        let Backend::Synthesized(b) = &mut self.backend else {
-            unreachable!()
-        };
-        b.batch = batch;
     }
 
     /// Marks record `idx` consumed and frees its payload: an arena span
@@ -1268,8 +855,7 @@ impl CollisionRecordStore {
                     };
                     let base = cfg.channel.noise_std();
                     // Arena mixtures are stored clean: realize the
-                    // recording AWGN from the record's own stream (same
-                    // realization the batched path would generate).
+                    // recording AWGN from the record's own stream.
                     let signal: &[Complex] =
                         if matches!(record.signal, Wave::Arena(_)) && base > 0.0 {
                             let mut rng = CounterRng::new(noise_stream_seed(

@@ -23,7 +23,6 @@
 
 pub mod aloha;
 pub mod estimate;
-pub mod kn_estimator;
 pub mod tree;
 
 pub use aloha::{
@@ -31,5 +30,4 @@ pub use aloha::{
     Gen2QConfig, InitialEstimate, SlottedAloha,
 };
 pub use estimate::{schoute_backlog, PreStepEstimator, PreStepOutcome};
-pub use kn_estimator::{KnEstimator, KnMethod, KnOutcome};
 pub use tree::{Abs, AbsSession, Aqs, AqsSession, QueryTree};

@@ -232,14 +232,13 @@ pub fn subtract_known(
 /// References are pure functions of the ID, so eviction can never change a
 /// result — the bound only caps memory (256 × one whole-ID span ≈ 3 MB at
 /// the default 8 samples/bit).
-const MAX_CACHED_REFERENCES: usize = 256;
+pub(crate) const MAX_CACHED_REFERENCES: usize = 256;
 
 /// A SoA store of reference waveforms keyed by [`TagId`]: one contiguous
 /// sample buffer, fixed-length spans. A frontier of cascade resolutions
 /// re-uses the same few known IDs across many records and hops; caching
 /// their modulated references turns the per-attempt basis construction
-/// into an index lookup. Lookups on an immutable cache are thread-safe,
-/// which is what lets scoped-thread cascade workers share one cache.
+/// into an index lookup.
 ///
 /// A span used for resolution also carries its reference's self-energy
 /// `⟨s, s⟩`, the Gram diagonal of every least-squares fit against it,
@@ -322,20 +321,23 @@ impl ReferenceCache {
         idx
     }
 
-    /// Like [`Self::ensure`], but never evicts: returns `false` (leaving
-    /// the cache untouched) when `id` is absent and the cache is full.
-    ///
-    /// A batched peeling pass warms *all* of a batch's references before
-    /// fanning the pure subtraction out to workers; `ensure`'s clear-on-full
-    /// policy could drop references warmed moments earlier in the same
-    /// pass, so the batch path probes with this, clears once on overflow,
-    /// and re-warms into the then-empty cache.
-    pub fn try_ensure(&mut self, id: TagId) -> bool {
-        if self.index_of(id).is_none() && self.energy.len() >= MAX_CACHED_REFERENCES {
-            return false;
+    /// [`Self::ensure`]s every ID in `ids` so that all of them are cached
+    /// together when it returns (`ids` must fit an empty cache). A
+    /// one-by-one `ensure` could clear the full cache for a later miss and
+    /// drop an ID warmed moments earlier; here, when the misses do not
+    /// fit, the cache is cleared once up front and every ID re-warmed into
+    /// the empty cache.
+    pub fn ensure_all(&mut self, ids: &[TagId]) {
+        let misses = ids
+            .iter()
+            .filter(|&&id| self.index_of(id).is_none())
+            .count();
+        if self.energy.len() + misses > MAX_CACHED_REFERENCES {
+            self.clear();
         }
-        self.ensure(id);
-        true
+        for &id in ids {
+            self.ensure(id);
+        }
     }
 
     /// The cached reference waveform at span index `idx`.
@@ -366,8 +368,8 @@ impl ReferenceCache {
 
 /// Reusable working memory for one ANC resolution attempt: the residual
 /// buffer, gain fit scratch, demodulated bits, and (for cascaded hops) the
-/// noise-degraded mixture copy. One instance per worker thread keeps the
-/// whole subtract→demodulate→CRC chain allocation-free in steady state.
+/// noise-degraded mixture copy. Reusing one instance across attempts keeps
+/// the whole subtract→demodulate→CRC chain allocation-free in steady state.
 #[derive(Debug, Default)]
 pub struct ResolveScratch {
     pub(crate) refs: Vec<usize>,
@@ -393,8 +395,8 @@ pub struct SubtractionPowers {
 /// of the samples and of the residual.
 ///
 /// Every reference must already be in `cache` (see
-/// [`ReferenceCache::ensure`]); the cache is only read, so parallel
-/// workers can share it. The Gram diagonal comes from the cache's
+/// [`ReferenceCache::ensure_all`]); the cache is only read. The Gram
+/// diagonal comes from the cache's
 /// self-energies; the projections and off-diagonal entries are the same
 /// inner products in the same order, the subtraction is the same
 /// per-element expression, and one pass sums both powers (see
@@ -684,6 +686,31 @@ mod tests {
                 assert_eq!(got.im.to_bits(), expect.im.to_bits(), "spb {spb}");
             }
         }
+    }
+
+    #[test]
+    fn ensure_all_warms_every_id_with_at_most_one_clear() {
+        let id = |p: u128| TagId::from_payload(p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut cache = ReferenceCache::new(&cfg());
+        for p in 0..MAX_CACHED_REFERENCES as u128 - 1 {
+            cache.ensure(id(p));
+        }
+        // One free span: a hit plus one miss fit without a clear.
+        cache.ensure_all(&[id(0), id(1_000)]);
+        assert!(cache.index_of(id(1)).is_some(), "cleared although it fit");
+        // Full: two misses clear once and both end up cached, together
+        // with the hit that preceded them.
+        let wanted = [id(5), id(2_000), id(3_000)];
+        cache.ensure_all(&wanted);
+        for w in wanted {
+            let idx = cache.index_of(w).expect("warmed ID evicted");
+            assert_eq!(
+                cache.wave(idx),
+                MskModulator::new(cfg()).reference(&w.to_bits())
+            );
+            assert!(cache.self_energy(idx).re > 0.0, "self-energy not measured");
+        }
+        assert!(cache.index_of(id(1)).is_none(), "no clear on overflow");
     }
 
     #[test]

@@ -106,9 +106,7 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
     cache: &mut ReferenceCache,
     scratch: &mut ResolveScratch,
 ) -> ResolutionAttempt {
-    for &id in known {
-        cache.ensure(id);
-    }
+    cache.ensure_all(known);
     if extra_noise_std > 0.0 {
         let mut degraded = std::mem::take(&mut scratch.degraded);
         degrade_into(mixed, extra_noise_std, rng, &mut degraded);
@@ -139,10 +137,9 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
 /// Copies `mixed` into `out` and injects Gaussian noise of standard
 /// deviation `extra_noise_std` per real dimension — the RNG-consuming half
 /// of a cascaded attempt, split out so callers can hand it a *per-record
-/// counter stream* and run it inside the parallel evaluation phase. The
-/// noise comes from [`add_awgn`], one normal pair per complex sample;
-/// realizations depend only on the stream handed in, never on what other
-/// records drew.
+/// counter stream*. The noise comes from [`add_awgn`], one normal pair per
+/// complex sample; realizations depend only on the stream handed in, never
+/// on what other records drew.
 pub fn degrade_into<R: Rng + ?Sized>(
     mixed: &[Complex],
     extra_noise_std: f64,
@@ -159,8 +156,8 @@ pub fn degrade_into<R: Rng + ?Sized>(
 /// The pure (RNG-free) half of a cascaded resolution attempt: subtract the
 /// `known` components of the already-degraded `samples` with pre-cached
 /// references, score the residual SNR, and CRC-decode. The cache is only
-/// read, so independent workers may run this concurrently; results are
-/// bit-identical to [`resolve_cascaded`] on the same `samples`.
+/// read; results are bit-identical to [`resolve_cascaded`] on the same
+/// `samples`.
 ///
 /// # Panics
 ///
@@ -508,6 +505,35 @@ mod tests {
         let got = resolve_prepared(&mixed, &[], &cfg(), 0.01, 0.0, &cache, &mut scratch);
         assert_eq!(got, unfused_resolve(&mixed, &[], 0.01, 0.0).0);
         assert_eq!(got.recovered, Ok(spread(9)));
+    }
+
+    #[test]
+    fn resolve_keeps_every_known_cached_when_the_cache_is_full() {
+        // Regression: warming the knowns one by one cleared the full cache
+        // for the second miss and evicted the first, so the subtraction
+        // panicked on a reference it had just warmed.
+        let model = ChannelModel::default().with_noise_std(0.01);
+        let mut cache = ReferenceCache::new(&cfg());
+        for i in 0..anc::MAX_CACHED_REFERENCES as u128 - 1 {
+            cache.ensure(spread(50_000 + i));
+        }
+        let ids: Vec<TagId> = (1..=3).map(spread).collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mixed = transmit_mixed(&ids, &cfg(), &model, &mut rng);
+        let mut scratch = ResolveScratch::default();
+        let attempt = resolve_cascaded_cached(
+            &mixed,
+            &ids[..2],
+            &cfg(),
+            model.noise_std(),
+            0.0,
+            &mut rng,
+            &mut cache,
+            &mut scratch,
+        );
+        assert_eq!(attempt.recovered, Ok(ids[2]));
+        let fresh = resolve_cascaded(&mixed, &ids[..2], &cfg(), model.noise_std(), 0.0, &mut rng);
+        assert_eq!(attempt, fresh, "cache state changed the outcome");
     }
 
     #[test]

@@ -230,18 +230,11 @@ pub struct SimConfig {
     hash_bits: u32,
     #[cfg_attr(feature = "serde", serde(default))]
     lambda_policy: LambdaPolicy,
-    #[cfg_attr(feature = "serde", serde(default = "default_threads"))]
-    threads: usize,
 }
 
 #[cfg(feature = "serde")]
 fn default_hash_bits() -> u32 {
     16
-}
-
-#[cfg(feature = "serde")]
-fn default_threads() -> usize {
-    1
 }
 
 impl SimConfig {
@@ -257,7 +250,6 @@ impl SimConfig {
             trace: false,
             hash_bits: 16,
             lambda_policy: LambdaPolicy::Fixed,
-            threads: 1,
         }
     }
 
@@ -358,30 +350,6 @@ impl SimConfig {
         self.hash_bits
     }
 
-    /// Returns this configuration with a worker count for batched
-    /// signal-backed peeling. The default of 1 evaluates inline; any
-    /// value produces bit-identical reports — batched records are
-    /// participant-disjoint, every noise term comes from a counter stream
-    /// keyed on `(seed, record, hop)` rather than a shared sequential RNG,
-    /// and outcomes are applied in record order — so this is purely a
-    /// wall-clock knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "threads must be positive");
-        self.threads = threads;
-        self
-    }
-
-    /// Worker count for batched signal-backed peeling (default 1).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Returns this configuration with a λ-selection policy. Only the
     /// collision-aware protocol family consults it, and only signal-backed
     /// resolution produces the residual-SNR stream an adaptive policy
@@ -400,14 +368,13 @@ impl SimConfig {
 
     /// Checks every invariant the builder methods enforce by panicking.
     ///
-    /// The builders (`with_threads`, `with_hash_bits`, `with_max_slots`,
-    /// …) assert their arguments, which is right for programmatic
-    /// construction — but a config assembled from *external input* (a
-    /// `repro serve` JSON request, a deserialized snapshot) bypasses them
-    /// field by field, and an invalid value then panics deep inside the
-    /// engine (e.g. `threads: 0` inside the scoped-thread peeling
-    /// cascade). Run entry points call this at start so such configs are
-    /// rejected with a structured [`SimError`] instead.
+    /// The builders (`with_hash_bits`, `with_max_slots`, …) assert their
+    /// arguments, which is right for programmatic construction — but a
+    /// config assembled from *external input* (a `repro serve` JSON
+    /// request, a deserialized snapshot) bypasses them field by field, and
+    /// an invalid value would then fail deep inside the engine. Run entry
+    /// points call this at start so such configs are rejected with a
+    /// structured [`SimError`] instead.
     ///
     /// # Errors
     ///
@@ -425,9 +392,6 @@ impl SimConfig {
                 "hash_bits must be in 1..=32, got {}",
                 self.hash_bits
             ));
-        }
-        if self.threads == 0 {
-            return invalid("threads must be positive".into());
         }
         for (name, p) in [
             ("ack_loss", self.errors.ack_loss),
@@ -572,7 +536,7 @@ mod tests {
 
     /// Builds a config the way external deserialization does: field by
     /// field, bypassing every builder assertion.
-    fn raw_config(threads: usize, hash_bits: u32, max_slots: u64) -> SimConfig {
+    fn raw_config(hash_bits: u32, max_slots: u64) -> SimConfig {
         SimConfig {
             seed: 0,
             timing: TimingConfig::philips_icode(),
@@ -581,7 +545,6 @@ mod tests {
             trace: false,
             hash_bits,
             lambda_policy: LambdaPolicy::Fixed,
-            threads,
         }
     }
 
@@ -590,7 +553,6 @@ mod tests {
         assert_eq!(SimConfig::default().validate(), Ok(()));
         assert_eq!(
             SimConfig::default()
-                .with_threads(8)
                 .with_hash_bits(32)
                 .with_max_slots(1)
                 .with_errors(ErrorModel::new(0.1, 0.2, 0.3).with_capture(0.4))
@@ -602,26 +564,22 @@ mod tests {
 
     #[test]
     fn validate_rejects_builder_bypassing_configs() {
-        // `threads: 0` used to panic deep in the scoped-thread cascade
-        // when it arrived via deserialization instead of `with_threads`.
-        let err = raw_config(0, 16, 1000).validate().unwrap_err();
-        assert!(err.to_string().contains("threads"), "{err}");
-        let err = raw_config(1, 0, 1000).validate().unwrap_err();
+        let err = raw_config(0, 1000).validate().unwrap_err();
         assert!(err.to_string().contains("hash_bits"), "{err}");
-        let err = raw_config(1, 33, 1000).validate().unwrap_err();
+        let err = raw_config(33, 1000).validate().unwrap_err();
         assert!(err.to_string().contains("hash_bits"), "{err}");
-        let err = raw_config(1, 16, 0).validate().unwrap_err();
+        let err = raw_config(16, 0).validate().unwrap_err();
         assert!(err.to_string().contains("max_slots"), "{err}");
 
-        let mut bad_errors = raw_config(1, 16, 1000);
+        let mut bad_errors = raw_config(16, 1000);
         bad_errors.errors.ack_loss = 1.5;
         let err = bad_errors.validate().unwrap_err();
         assert!(err.to_string().contains("ack_loss"), "{err}");
-        let mut nan_capture = raw_config(1, 16, 1000);
+        let mut nan_capture = raw_config(16, 1000);
         nan_capture.errors.capture = f64::NAN;
         assert!(nan_capture.validate().is_err());
 
-        let mut bad_lambda = raw_config(1, 16, 1000);
+        let mut bad_lambda = raw_config(16, 1000);
         bad_lambda.lambda_policy = LambdaPolicy::SnrWindow {
             min_lambda: 4,
             max_lambda: 2,
@@ -631,7 +589,7 @@ mod tests {
         };
         let err = bad_lambda.validate().unwrap_err();
         assert!(err.to_string().contains("lambda bounds"), "{err}");
-        let mut zero_window = raw_config(1, 16, 1000);
+        let mut zero_window = raw_config(16, 1000);
         zero_window.lambda_policy = LambdaPolicy::SnrWindow {
             min_lambda: 2,
             max_lambda: 4,

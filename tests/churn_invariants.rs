@@ -1,13 +1,11 @@
 //! Property tests pinning down the dynamic-population (churn) layer:
-//! schedules, continuous monitoring, detection accounting, and
-//! thread-count bit-identity of a monitored signal-level run.
+//! schedules, continuous monitoring and detection accounting.
 
 use anc_rfid::anc::{Fcat, FcatConfig};
 use anc_rfid::prelude::*;
 use anc_rfid::sim::rounds::StatelessSession;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 
 fn model_for(kind: u8, rate: f64) -> DwellModel {
     match kind % 3 {
@@ -21,7 +19,6 @@ fn monitor_report(
     schedule: &PopulationSchedule,
     monitor: &MonitorConfig,
     seed: u64,
-    threads: usize,
 ) -> MonitorReport {
     let mut session = StatelessSession::new(Fcat::new(
         FcatConfig::default().with_lambda(2).with_frame_size(8),
@@ -30,7 +27,7 @@ fn monitor_report(
         &mut session,
         schedule,
         monitor,
-        &SimConfig::default().with_seed(seed).with_threads(threads),
+        &SimConfig::default().with_seed(seed),
     )
     .expect("monitoring completes")
 }
@@ -55,7 +52,7 @@ proptest! {
         prop_assert!(event_rounds.windows(2).all(|w| w[0] <= w[1]), "timeline monotone");
         let windows = schedule.presence_windows();
         let monitor = MonitorConfig { audit_every, persistence: audit_every > 1 };
-        let report = monitor_report(&schedule, &monitor, seed, 1);
+        let report = monitor_report(&schedule, &monitor, seed);
         for (round, round_report) in report.per_round.iter().enumerate() {
             for &tag in &round_report.ids {
                 let (arrive, depart) = windows[&tag];
@@ -81,7 +78,7 @@ proptest! {
     ) {
         let schedule = PopulationSchedule::generate(&model_for(kind, rate), n, rounds, seed);
         let monitor = MonitorConfig { audit_every, persistence: audit_every > 1 };
-        let report = monitor_report(&schedule, &monitor, seed, 1);
+        let report = monitor_report(&schedule, &monitor, seed);
 
         prop_assert_eq!(
             report.unique,
@@ -131,114 +128,12 @@ proptest! {
     ) {
         let schedule = PopulationSchedule::static_population(n, rounds, seed);
         prop_assert!(schedule.is_static());
-        let report = monitor_report(&schedule, &MonitorConfig::default(), seed, 1);
+        let report = monitor_report(&schedule, &MonitorConfig::default(), seed);
         prop_assert_eq!(report.unique, n);
         prop_assert_eq!(report.unique_present_at_end, n);
         prop_assert_eq!(report.detections.len(), 0);
         for round_report in &report.per_round {
             prop_assert_eq!(round_report.identified, n);
         }
-    }
-}
-
-/// Canonical, locale-free text form of a monitor report; `{:?}` on `f64`
-/// prints the shortest round-tripping representation, so any drift in
-/// accumulation order shows up as a byte difference.
-fn canonical(report: &MonitorReport) -> String {
-    let mut s = String::new();
-    writeln!(
-        s,
-        "population: initial={} seen={}",
-        report.population_initial, report.population_seen
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "unique: {} present_at_end={} departed_after_read={}",
-        report.unique, report.unique_present_at_end, report.unique_departed_after_read
-    )
-    .unwrap();
-    writeln!(s, "elapsed_us: {:?}", report.elapsed_us).unwrap();
-    for (round, r) in report.per_round.iter().enumerate() {
-        let mut ids: Vec<TagId> = r.ids.iter().copied().collect();
-        ids.sort_unstable();
-        write!(
-            s,
-            "round {round}: identified={} slots={} elapsed_us={:?} ids:",
-            r.identified,
-            r.slots.total(),
-            r.elapsed_us
-        )
-        .unwrap();
-        for id in ids {
-            write!(s, " {id}").unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    for d in &report.detections {
-        writeln!(
-            s,
-            "detection: {:?} tag={} event_round={} detected_round={} latency_us={:?}",
-            d.kind, d.tag, d.event_round, d.detected_round, d.latency_us
-        )
-        .unwrap();
-    }
-    s
-}
-
-/// A monitored signal-level run is byte-identical at every thread count:
-/// the counter-stream noise path makes each AWGN realization a pure
-/// function of `(noise_seed, record, hop)`, so worker count cannot leak
-/// into the rounds, the detections, or their latencies.
-#[test]
-fn monitoring_is_bit_identical_across_thread_counts() {
-    let schedule = PopulationSchedule::generate(&DwellModel::poisson(3.0, 5.0), 60, 8, 11);
-    let monitor = MonitorConfig {
-        audit_every: 2,
-        persistence: true,
-    };
-    let reference = {
-        let mut session = StatelessSession::new(Fcat::new(
-            FcatConfig::default()
-                .with_lambda(2)
-                .with_frame_size(8)
-                .with_resolution(ResolutionModel::SignalBacked(
-                    SignalResolutionConfig::default().with_noise_std(0.2),
-                )),
-        ));
-        run_monitoring(
-            &mut session,
-            &schedule,
-            &monitor,
-            &SimConfig::default().with_seed(11).with_threads(1),
-        )
-        .expect("monitoring completes")
-    };
-    let expected = canonical(&reference);
-    assert!(
-        !reference.detections.is_empty(),
-        "fixture must exercise detections"
-    );
-    for threads in [4, 8] {
-        let mut session = StatelessSession::new(Fcat::new(
-            FcatConfig::default()
-                .with_lambda(2)
-                .with_frame_size(8)
-                .with_resolution(ResolutionModel::SignalBacked(
-                    SignalResolutionConfig::default().with_noise_std(0.2),
-                )),
-        ));
-        let report = run_monitoring(
-            &mut session,
-            &schedule,
-            &monitor,
-            &SimConfig::default().with_seed(11).with_threads(threads),
-        )
-        .expect("monitoring completes");
-        assert_eq!(
-            canonical(&report),
-            expected,
-            "threads={threads} must be byte-identical to threads=1"
-        );
     }
 }
