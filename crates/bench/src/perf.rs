@@ -20,22 +20,28 @@
 //! an optimization); per-entry speedups are computed and embedded in the
 //! output. `--gate FILE` points at the committed `BENCH_*.json` and fails
 //! the run if any `*/signal-soa*` cell's sampled-normalized throughput
-//! drops more than [`GATE_TOLERANCE`] (20%) below the committed ratio; in
-//! smoke mode the cells the gate compares keep the full-mode 200 ms budget
-//! instead of 5 ms, so neither side of a ratio rests on one or two timings
-//! (each entry records its budget).
+//! drops more than [`GATE_TOLERANCE`] (20%) below the committed ratio. The
+//! two cells of each compared ratio are timed together, one warm inventory
+//! of each in turn, so both see the same host state; in smoke mode they keep
+//! the full-mode 200 ms budget instead of 5 ms, so neither side of a ratio
+//! rests on one or two timings (each entry records its budget).
+//!
+//! The run's header and JSON name the Hash-membership scan kernel the CPU
+//! ran ([`scan_kernel_name`]), since the `*/hash` cells depend on it.
 
-use criterion::measure_with_budget;
+use criterion::{measure_with_budget, Measurement};
 use rfid_anc::{
     BackendModel, CompressedSensing, Fcat, FcatConfig, Membership, Mpr, ResolutionModel, Scat,
     ScatConfig, SignalResolutionConfig,
 };
 use rfid_protocols::{Abs, Aqs, Dfsa, Edfsa};
 use rfid_sim::{run_inventory, seeded_rng, InventoryReport, SimConfig, SimError};
+use rfid_types::hash::scan_kernel_name;
 use rfid_types::{population, TagId};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Steady-state allocation tolerance for the ideal-resolution slot-level
 /// loop, in allocations per slot. The loop itself must be allocation-free;
@@ -114,7 +120,8 @@ pub const GATE_TOLERANCE: f64 = 0.2;
 /// past its floor. A longer budget for only one side would bias the
 /// ratio, since best-of-more is faster. So both cells get the full-mode
 /// budget, the one the committed ratios were measured with. An explicit
-/// `--budget-ms` still applies to every cell.
+/// `--budget-ms` still applies to every cell. The pair is timed by
+/// [`measure_interleaved`] over both budgets together.
 const SMOKE_GATE_BUDGET_MS: u64 = 200;
 
 /// One measured (protocol, population) cell.
@@ -138,6 +145,78 @@ struct Entry {
     slot_level: bool,
     /// Per-entry allocation gate (allocs/slot); `None` exempts the entry.
     alloc_limit: Option<f64>,
+}
+
+impl Entry {
+    fn set_timing(&mut self, m: Measurement) {
+        self.best_wall_s = m.best_ns_per_iter * 1e-9;
+        self.slots_per_sec = if self.best_wall_s > 0.0 {
+            self.slots as f64 / self.best_wall_s
+        } else {
+            0.0
+        };
+        self.iters = m.iters;
+    }
+
+    fn print(&self) {
+        println!(
+            "{:<16} n={:<6} {:>7} slots  {:>10.4} s/run {:>12.0} slots/s  {}",
+            self.name,
+            self.n,
+            self.slots,
+            self.best_wall_s,
+            self.slots_per_sec,
+            match self.allocs_per_slot {
+                Some(aps) => format!("{aps:.4} allocs/slot"),
+                None => "allocs n/a".to_owned(),
+            }
+        );
+    }
+}
+
+/// One deterministic population per size, shared by all protocols so
+/// cells at equal `n` are comparable.
+fn bench_population(n: usize) -> Vec<TagId> {
+    population::uniform(&mut seeded_rng(1_000 + n as u64), n)
+}
+
+/// Times `a` and `b` in turn, one inventory of each, and returns the best
+/// timed call of each side. Interleaving puts both sides under the same
+/// host state, which on a host that drifts between fast and slow phases
+/// matters more than how many calls each side gets. Each timed call
+/// directly follows an untimed call of the same routine, so it starts
+/// with its own working set in cache, as in a batch of
+/// [`measure_with_budget`], not with the other side's. Turns continue until
+/// the timed calls add up to twice `budget`, one budget per side.
+fn measure_interleaved<A, B>(
+    budget: Duration,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Measurement, Measurement) {
+    let mut best = [f64::INFINITY; 2];
+    let mut timed = Duration::ZERO;
+    let mut turns = 0u64;
+    while turns == 0 || timed < 2 * budget {
+        let times = [time_warm(&mut a), time_warm(&mut b)];
+        for (best, time) in best.iter_mut().zip(times) {
+            *best = best.min(time.as_nanos() as f64);
+            timed += time;
+        }
+        turns += 1;
+    }
+    let measurement = |best_ns_per_iter| Measurement {
+        best_ns_per_iter,
+        iters: 2 * turns,
+    };
+    (measurement(best[0]), measurement(best[1]))
+}
+
+/// Calls `routine` twice and returns the duration of the second call.
+fn time_warm<O>(routine: &mut impl FnMut() -> O) -> Duration {
+    black_box(routine());
+    let start = Instant::now();
+    black_box(routine());
+    start.elapsed()
 }
 
 type Runner = Box<dyn Fn(&[TagId], &SimConfig) -> Result<InventoryReport, SimError>>;
@@ -244,8 +323,17 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
         None => None,
     };
     let specs = protocol_specs();
+    let runner_of = |name: &str| &specs.iter().find(|spec| spec.0 == name).expect("a spec").2;
+    let config = SimConfig::default().with_seed(opts.seed);
+    println!(
+        "repro bench: {} mode, hash scan kernel {}",
+        if opts.smoke { "smoke" } else { "full" },
+        scan_kernel_name()
+    );
 
     let mut entries: Vec<Entry> = Vec::new();
+    // Cells the gate compares, timed below in (signal-soa, reference) pairs.
+    let mut gated_cells: Vec<usize> = Vec::new();
     for (name, alloc_limit, runner) in &specs {
         let alloc_limit = *alloc_limit;
         let slot_level = alloc_limit.is_some();
@@ -255,17 +343,13 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
             if opts.smoke && n >= ALLOC_CHECK_MIN_TAGS && !(slot_level && opts.check_allocs) {
                 continue;
             }
-            // One deterministic population per size, shared by all
-            // protocols so cells at equal n are comparable.
-            let tags = population::uniform(&mut seeded_rng(1_000 + n as u64), n);
-            let config = SimConfig::default().with_seed(opts.seed);
+            let tags = bench_population(n);
 
             // Untimed run: slot count, identified count, allocation delta.
             let before = alloc_count.map(|f| f());
             let report = runner(&tags, &config).map_err(|e| format!("bench {name} n={n}: {e}"))?;
             let allocs = alloc_count.map(|f| f() - before.unwrap_or(0));
             let slots = report.slots.total();
-            let identified = report.identified;
 
             let gated = gate.as_deref().is_some_and(|gate| {
                 gate_compares(gate, specs.iter().map(|spec| spec.0.as_str()), name, n)
@@ -275,40 +359,55 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
             } else {
                 default_budget_ms
             };
-            let m = measure_with_budget(Duration::from_millis(budget_ms), || {
-                runner(&tags, &config).expect("bench rerun cannot fail")
-            });
-            let best_wall_s = m.best_ns_per_iter * 1e-9;
-            let slots_per_sec = if best_wall_s > 0.0 {
-                slots as f64 / best_wall_s
-            } else {
-                0.0
-            };
-            let allocs_per_slot = allocs.map(|a| a as f64 / slots.max(1) as f64);
-
-            println!(
-                "{name:<16} n={n:<6} {slots:>7} slots  {best_wall_s:>10.4} s/run \
-                 {slots_per_sec:>12.0} slots/s  {}",
-                match allocs_per_slot {
-                    Some(aps) => format!("{aps:.4} allocs/slot"),
-                    None => "allocs n/a".to_owned(),
-                }
-            );
-            entries.push(Entry {
+            let mut entry = Entry {
                 name: name.clone(),
                 n,
                 slots,
-                identified,
-                best_wall_s,
-                slots_per_sec,
-                iters: m.iters,
+                identified: report.identified,
+                best_wall_s: 0.0,
+                slots_per_sec: 0.0,
+                iters: 0,
                 budget_ms,
                 allocs,
-                allocs_per_slot,
+                allocs_per_slot: allocs.map(|a| a as f64 / slots.max(1) as f64),
                 slot_level,
                 alloc_limit,
-            });
+            };
+            if gated {
+                gated_cells.push(entries.len());
+            } else {
+                entry.set_timing(measure_with_budget(
+                    Duration::from_millis(budget_ms),
+                    || runner(&tags, &config).expect("bench rerun cannot fail"),
+                ));
+                entry.print();
+            }
+            entries.push(entry);
         }
+    }
+    // Each signal-soa cell the gate compares is timed together with its
+    // reference, so host drift between the two cells cannot move the ratio.
+    for &soa in &gated_cells {
+        let Some(reference) = gate_reference(&entries[soa].name) else {
+            continue;
+        };
+        let n = entries[soa].n;
+        let partner = gated_cells
+            .iter()
+            .copied()
+            .find(|&i| entries[i].name == reference && entries[i].n == n)
+            .expect("the gate compares a signal-soa cell only with its reference");
+        let tags = bench_population(n);
+        let (run_soa, run_ref) = (runner_of(&entries[soa].name), runner_of(&reference));
+        let (m_soa, m_ref) = measure_interleaved(
+            Duration::from_millis(entries[soa].budget_ms),
+            || run_soa(&tags, &config).expect("bench rerun cannot fail"),
+            || run_ref(&tags, &config).expect("bench rerun cannot fail"),
+        );
+        entries[soa].set_timing(m_soa);
+        entries[partner].set_timing(m_ref);
+        entries[partner].print();
+        entries[soa].print();
     }
 
     let baseline = match &opts.baseline {
@@ -579,6 +678,7 @@ fn render_json(opts: &BenchOptions, entries: &[Entry], speedups: Option<&[Speedu
     )
     .unwrap();
     writeln!(s, "\"seed\":{},", opts.seed).unwrap();
+    writeln!(s, "\"hash_scan\":\"{}\",", scan_kernel_name()).unwrap();
     writeln!(s, "\"max_allocs_per_slot\":{},", jf(MAX_ALLOCS_PER_SLOT)).unwrap();
     s.push_str("\"entries\":[\n");
     for (i, e) in entries.iter().enumerate() {
@@ -765,6 +865,31 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_timing_alternates_the_two_cells() {
+        let calls = std::cell::RefCell::new(String::new());
+        let (a, b) = measure_interleaved(
+            Duration::from_millis(2),
+            || {
+                calls.borrow_mut().push('a');
+                std::thread::sleep(Duration::from_micros(200));
+            },
+            || calls.borrow_mut().push('b'),
+        );
+        let calls = calls.into_inner();
+        // Turns of an untimed and a timed call of `a`, then the same of `b`:
+        // `a` first, the same count on both sides, and no more turns than
+        // 4 ms of timed calls at 0.2 ms or more per turn allow.
+        let turns = calls.len() / 4;
+        assert!((1..=20).contains(&turns), "{calls}");
+        assert_eq!(calls, "aabb".repeat(turns));
+        assert_eq!(a.iters, b.iters);
+        assert_eq!(a.iters as usize, 2 * turns);
+        // Each side keeps its own best: `a` sleeps, `b` does not.
+        assert!(a.best_ns_per_iter >= 200_000.0, "{a:?}");
+        assert!(b.best_ns_per_iter < a.best_ns_per_iter, "{a:?} {b:?}");
+    }
+
+    #[test]
     fn smoke_run_writes_json() {
         let dir = std::env::temp_dir().join("anc_rfid_perf_test");
         let out = dir.join("bench_smoke.json");
@@ -778,6 +903,9 @@ mod tests {
         run(&opts, None).expect("smoke bench runs");
         let json = std::fs::read_to_string(&out).expect("json written");
         assert!(json.contains("\"schema\":\"anc-rfid-bench/1\""));
+        let kernel = extract_json_str(&json, "hash_scan").expect("hash_scan field");
+        assert_eq!(kernel, scan_kernel_name());
+        assert!(["avx512", "scalar"].contains(&kernel), "{kernel}");
         assert!(json.contains("\"name\":\"scat2/hash\""));
         assert!(json.contains("\"name\":\"aqs\""));
         // Entry lines are parseable by the same extractor used for baselines.

@@ -23,6 +23,7 @@
 //! simulation's RNG or state. A traced run and an untraced run of the same
 //! seed therefore produce byte-identical reports — the test suite enforces
 //! this.
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod jsonl;

@@ -5,7 +5,7 @@
 //! below (mixture accumulation and gain-scaled subtraction) walk them in
 //! explicit `chunks_exact(8)` blocks — eight complex samples, sixteen
 //! `f64` lanes per block — which the compiler autovectorizes without any
-//! SIMD dependency and without `unsafe` (the workspace forbids it).
+//! SIMD dependency and without `unsafe` (this crate forbids it).
 //!
 //! **Bit-identity contract:** every output element is produced by exactly
 //! the same `f64` expression tree as the scalar loops these kernels

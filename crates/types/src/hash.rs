@@ -117,11 +117,77 @@ const SCAN_LANES: usize = 16;
 ///   a branch-free "any hit?" flag; only a block whose flag is set is
 ///   rescanned to report its hits. At the probabilities FCAT/SCAT advertise
 ///   (about one transmitter per slot) almost no block is rescanned.
+/// * On an x86-64 CPU with AVX-512F and AVX-512DQ the block scan runs as
+///   a copy compiled for those features, where each block's 16 hashes
+///   take native 64-bit vector multiplies; [`scan_kernel_name`] names the
+///   copy in use. Integer arithmetic is exact, so both copies report the
+///   same positions.
 ///
 /// # Panics
 ///
 /// Panics if `l == 0` or `l > 32`.
 pub fn scan_transmitters(
+    states: &[TagHashState],
+    slot: u64,
+    threshold: u64,
+    l: u32,
+    hit: impl FnMut(usize),
+) {
+    scan_on(ScanKernel::detect(), states, slot, threshold, l, hit);
+}
+
+/// The name of the block kernel [`scan_transmitters`] runs on this CPU:
+/// `"avx512"` or `"scalar"`. Benchmarks record it, so Hash-membership
+/// timings from different hosts can be told apart.
+#[must_use]
+pub fn scan_kernel_name() -> &'static str {
+    ScanKernel::detect().name()
+}
+
+/// A compiled copy of the block scan [`scan_below`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScanKernel {
+    /// Built for the default target.
+    Scalar,
+    /// Built with AVX-512F and AVX-512DQ enabled (x86-64 only).
+    Avx512,
+}
+
+impl ScanKernel {
+    /// The fastest copy this CPU can run.
+    fn detect() -> Self {
+        if avx512_detected() {
+            ScanKernel::Avx512
+        } else {
+            ScanKernel::Scalar
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            ScanKernel::Scalar => "scalar",
+            ScanKernel::Avx512 => "avx512",
+        }
+    }
+}
+
+/// Whether this CPU has every feature [`scan_below_avx512`] enables.
+/// std caches the answer, so a call costs a load and a bit test.
+fn avx512_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// [`scan_transmitters`] on a given kernel copy.
+fn scan_on(
+    kernel: ScanKernel,
     states: &[TagHashState],
     slot: u64,
     threshold: u64,
@@ -134,10 +200,52 @@ pub fn scan_transmitters(
         return;
     }
     let limit = (threshold + 1) << (64 - l);
-    if l <= 31 {
-        scan_below::<false>(states, slot, limit, &mut hit);
+    scan_below_on(kernel, states, slot, limit, l == 32, &mut hit);
+}
+
+/// Runs [`scan_below`] on `kernel`'s copy; the crate's one `unsafe` call.
+/// An `Avx512` request on a CPU without those features runs the scalar
+/// copy.
+#[allow(unsafe_code)]
+fn scan_below_on(
+    kernel: ScanKernel,
+    states: &[TagHashState],
+    slot: u64,
+    limit: u64,
+    full: bool,
+    hit: &mut impl FnMut(usize),
+) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        ScanKernel::Avx512 if avx512_detected() => {
+            // SAFETY: `scan_below_avx512` enables `avx512f` and `avx512dq`,
+            // and the guard's `avx512_detected` has just confirmed at
+            // runtime (`is_x86_feature_detected!`) that this CPU has both.
+            unsafe { scan_below_avx512(states, slot, limit, full, hit) }
+        }
+        _ if full => scan_below::<true>(states, slot, limit, hit),
+        _ => scan_below::<false>(states, slot, limit, hit),
+    }
+}
+
+/// [`scan_below`] compiled with AVX-512F and AVX-512DQ, whose `vpmullq`
+/// multiplies eight 64-bit lanes at once: LLVM vectorizes each block's
+/// "any hit?" fold onto it. The same source as the scalar copy, so the
+/// same positions. There is no AVX2 copy: AVX2 has no 64-bit multiply,
+/// and its emulated one bought nothing end to end (DESIGN §6, item 6).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn scan_below_avx512(
+    states: &[TagHashState],
+    slot: u64,
+    limit: u64,
+    full: bool,
+    hit: &mut impl FnMut(usize),
+) {
+    if full {
+        scan_below::<true>(states, slot, limit, hit);
     } else {
-        scan_below::<true>(states, slot, limit, &mut hit);
+        scan_below::<false>(states, slot, limit, hit);
     }
 }
 
@@ -356,10 +464,140 @@ mod tests {
             .collect()
     }
 
-    fn kernel_scan(states: &[TagHashState], slot: u64, threshold: u64, l: u32) -> Vec<usize> {
+    /// Every kernel copy this CPU runs: the scalar one always, then the
+    /// one [`scan_transmitters`] picks if it is wider.
+    fn kernels() -> Vec<ScanKernel> {
+        let mut kernels = vec![ScanKernel::Scalar];
+        if ScanKernel::detect() != ScanKernel::Scalar {
+            kernels.push(ScanKernel::detect());
+        }
+        kernels
+    }
+
+    fn kernel_scan(
+        kernel: ScanKernel,
+        states: &[TagHashState],
+        slot: u64,
+        threshold: u64,
+        l: u32,
+    ) -> Vec<usize> {
         let mut hits = Vec::new();
-        scan_transmitters(states, slot, threshold, l, |i| hits.push(i));
+        scan_on(kernel, states, slot, threshold, l, |i| hits.push(i));
         hits
+    }
+
+    #[test]
+    fn scan_kernels_under_test() {
+        // Run with `--nocapture` to see the list: a host without AVX-512
+        // tests the scalar copy alone.
+        let names: Vec<&str> = kernels().iter().map(|k| k.name()).collect();
+        println!("hash scan kernels under test: {}", names.join(", "));
+        assert_eq!(names[0], "scalar");
+        assert_eq!(names.last(), Some(&scan_kernel_name()));
+        assert_eq!(scan_kernel_name() == "avx512", avx512_detected());
+    }
+
+    #[test]
+    fn scan_transmitters_runs_the_detected_kernel() {
+        let states: Vec<TagHashState> = (0..100u128)
+            .map(|p| TagHashState::new(TagId::from_payload(p)))
+            .collect();
+        let mut hits = Vec::new();
+        scan_transmitters(&states, 3, 9_000, 16, |i| hits.push(i));
+        assert_eq!(
+            hits,
+            kernel_scan(ScanKernel::detect(), &states, 3, 9_000, 16)
+        );
+        assert_eq!(hits, reference_scan(&states, 3, 9_000, 16));
+    }
+
+    #[test]
+    fn kernels_agree_over_many_slots() {
+        // 10 000 states x 2 000 slots at both compare paths (l = 16 uses
+        // the pre-xorshift shortcut, l = 32 the full hash). Thresholds
+        // cycle from about one transmitter per slot up to 30% of the tags,
+        // so blocks with no hit, one hit and many hits all occur; 10 000
+        // states leave a 16-state remainder of 0, so the tail is covered
+        // by the length-0..=100 property test instead.
+        let n = 10_000usize;
+        let states: Vec<TagHashState> = (0..n as u128)
+            .map(|p| TagHashState::new(TagId::from_payload(p)))
+            .collect();
+        let kernels = kernels();
+        for l in [16u32, 32] {
+            let mut total_hits = 0usize;
+            for slot in 0..2_000u64 {
+                let p = [1.0 / n as f64, 4.0 / n as f64, 0.01, 0.3][(slot % 4) as usize];
+                let threshold = probability_threshold(p, l);
+                let expected = reference_scan(&states, slot, threshold, l);
+                for &kernel in &kernels {
+                    assert_eq!(
+                        kernel_scan(kernel, &states, slot, threshold, l),
+                        expected,
+                        "{} kernel, l = {l}, slot {slot}",
+                        kernel.name()
+                    );
+                }
+                total_hits += expected.len();
+            }
+            assert!(total_hits > 1_000_000, "l = {l}: {total_hits} hits");
+        }
+    }
+
+    /// A state whose full hash in `slot` is exactly `h`: each SplitMix64
+    /// step is a bijection, so the finalizer is undone step by step.
+    fn state_hashing_to(h: u64, slot: u64) -> TagHashState {
+        // y = x ^ (x >> k) is undone by x = y ^ (y >> k) ^ (y >> 2k) ^ ...
+        let unshift = |y: u64, k: u32| (k..64).step_by(k as usize).fold(y, |x, s| x ^ (y >> s));
+        // Newton's iteration for the inverse of an odd multiplier mod 2^64.
+        let inverse = |m: u64| {
+            (0..6).fold(m, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(i)))
+            })
+        };
+        let y = unshift(h, 31);
+        let x = unshift(y.wrapping_mul(inverse(0x94D0_49BB_1331_11EB)), 27);
+        let x = unshift(x.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9)), 30);
+        let state = TagHashState {
+            prefix: x.wrapping_sub(0x9E37_79B9_7F4A_7C15) ^ slot,
+        };
+        assert_eq!(state.slot_hash(slot), h);
+        state
+    }
+
+    #[test]
+    fn scan_splits_exactly_at_the_threshold() {
+        // States whose compared value (the hash before its last xorshift
+        // for l <= 31, the full hash at l = 32) is the lowest and highest
+        // admitted value and the lowest rejected one, `(t + 1) << (64 - l)`
+        // itself. Random states almost never land there, so a `<=` against
+        // the limit would pass the property test. Seven copies of the trio
+        // put it in a full 16-state block and in the tail.
+        let slot = 5;
+        for l in 1..=32u32 {
+            let s = 64 - l;
+            for t in [0, 1, (1u64 << l) / 3, (1u64 << l) - 2] {
+                if t + 1 >= 1u64 << l {
+                    continue;
+                }
+                let trio = [t << s, ((t + 1) << s) - 1, (t + 1) << s];
+                let hash = |v: u64| if l <= 31 { v ^ (v >> 31) } else { v };
+                let states: Vec<TagHashState> = (0..7)
+                    .flat_map(|_| trio)
+                    .map(|v| state_hashing_to(hash(v), slot))
+                    .collect();
+                let expected: Vec<usize> = (0..states.len()).filter(|i| i % 3 != 2).collect();
+                assert_eq!(reference_scan(&states, slot, t, l), expected);
+                for kernel in kernels() {
+                    assert_eq!(
+                        kernel_scan(kernel, &states, slot, t, l),
+                        expected,
+                        "{} kernel, l = {l}, t = {t}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -386,9 +624,11 @@ mod tests {
         let limit = (threshold + 1) << (64 - l);
         let transmits = states[pos].transmits(slot, threshold, l);
         assert_ne!(y < limit, transmits, "the shortcut must differ here");
-        let hits = kernel_scan(&states, slot, threshold, l);
-        assert_eq!(hits.contains(&pos), transmits);
-        assert_eq!(hits, reference_scan(&states, slot, threshold, l));
+        for kernel in kernels() {
+            let hits = kernel_scan(kernel, &states, slot, threshold, l);
+            assert_eq!(hits.contains(&pos), transmits, "{} kernel", kernel.name());
+            assert_eq!(hits, reference_scan(&states, slot, threshold, l));
+        }
     }
 
     proptest! {
@@ -457,10 +697,10 @@ mod tests {
             } else {
                 (threshold_frac * (1u64 << l) as f64) as u64
             };
-            prop_assert_eq!(
-                kernel_scan(&states, slot, threshold, l),
-                reference_scan(&states, slot, threshold, l)
-            );
+            let expected = reference_scan(&states, slot, threshold, l);
+            for kernel in kernels() {
+                prop_assert_eq!(&kernel_scan(kernel, &states, slot, threshold, l), &expected);
+            }
         }
 
         #[test]

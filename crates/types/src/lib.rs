@@ -32,7 +32,10 @@
 //! let _ = transmits(id, 7, threshold, l);
 //! ```
 
-#![forbid(unsafe_code)]
+// One item may call `unsafe`: the runtime-checked dispatch to the
+// AVX-512 copy of the Hash-membership scan (`hash::scan_below_on`).
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod crc;
