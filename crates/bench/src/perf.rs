@@ -27,7 +27,9 @@
 //! rests on one or two timings (each entry records its budget).
 //!
 //! The run's header and JSON name the Hash-membership scan kernel the CPU
-//! ran ([`scan_kernel_name`]), since the `*/hash` cells depend on it.
+//! ran ([`scan_kernel_name`]), since the `*/hash` cells depend on it, and
+//! the AWGN block kernel ([`polar_kernel_name`]), since the `*/signal-soa`
+//! cells do.
 
 use criterion::{measure_with_budget, Measurement};
 use rfid_anc::{
@@ -36,7 +38,7 @@ use rfid_anc::{
 };
 use rfid_protocols::{Abs, Aqs, Dfsa, Edfsa};
 use rfid_sim::{run_inventory, seeded_rng, InventoryReport, SimConfig, SimError};
-use rfid_types::hash::scan_kernel_name;
+use rfid_types::hash::{polar_kernel_name, scan_kernel_name};
 use rfid_types::{population, TagId};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -326,9 +328,10 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
     let runner_of = |name: &str| &specs.iter().find(|spec| spec.0 == name).expect("a spec").2;
     let config = SimConfig::default().with_seed(opts.seed);
     println!(
-        "repro bench: {} mode, hash scan kernel {}",
+        "repro bench: {} mode, hash scan kernel {}, awgn kernel {}",
         if opts.smoke { "smoke" } else { "full" },
-        scan_kernel_name()
+        scan_kernel_name(),
+        polar_kernel_name()
     );
 
     let mut entries: Vec<Entry> = Vec::new();
@@ -679,6 +682,7 @@ fn render_json(opts: &BenchOptions, entries: &[Entry], speedups: Option<&[Speedu
     .unwrap();
     writeln!(s, "\"seed\":{},", opts.seed).unwrap();
     writeln!(s, "\"hash_scan\":\"{}\",", scan_kernel_name()).unwrap();
+    writeln!(s, "\"awgn_kernel\":\"{}\",", polar_kernel_name()).unwrap();
     writeln!(s, "\"max_allocs_per_slot\":{},", jf(MAX_ALLOCS_PER_SLOT)).unwrap();
     s.push_str("\"entries\":[\n");
     for (i, e) in entries.iter().enumerate() {
@@ -906,6 +910,9 @@ mod tests {
         let kernel = extract_json_str(&json, "hash_scan").expect("hash_scan field");
         assert_eq!(kernel, scan_kernel_name());
         assert!(["avx512", "scalar"].contains(&kernel), "{kernel}");
+        let awgn = extract_json_str(&json, "awgn_kernel").expect("awgn_kernel field");
+        assert_eq!(awgn, polar_kernel_name());
+        assert!(["avx512", "scalar"].contains(&awgn), "{awgn}");
         assert!(json.contains("\"name\":\"scat2/hash\""));
         assert!(json.contains("\"name\":\"aqs\""));
         // Entry lines are parseable by the same extractor used for baselines.

@@ -26,11 +26,10 @@
 //! σ = (2/W)·Σ_{|y[n]|²>μ} |y[n]|²      = A² + B² + 4AB/π
 //! ```
 
-use crate::channel::ChannelModel;
+use crate::channel::{AwgnRng, ChannelModel};
 use crate::complex::{mean_power, Complex};
 use crate::linalg::{self, SolveError};
 use crate::msk::{MskConfig, MskDemodulator, MskModulator};
-use rand::Rng;
 use rfid_types::TagId;
 use std::collections::HashMap;
 use std::fmt;
@@ -99,7 +98,7 @@ pub(crate) const EMPTY_RESIDUAL_FRACTION: f64 = 2e-3;
 /// and an empty slice produces pure noise — useful for modelling the
 /// reader's slot classification.
 #[must_use]
-pub fn transmit_mixed<R: Rng + ?Sized>(
+pub fn transmit_mixed<R: AwgnRng + ?Sized>(
     tags: &[TagId],
     cfg: &MskConfig,
     model: &ChannelModel,
@@ -132,7 +131,7 @@ pub struct MixScratch {
 /// the same order as the allocating variant, so the two produce
 /// bit-identical waveforms — the simulation engine's hot loop relies on
 /// this for byte-identical reports.
-pub fn transmit_mixed_into<R: Rng + ?Sized>(
+pub fn transmit_mixed_into<R: AwgnRng + ?Sized>(
     tags: &[TagId],
     cfg: &MskConfig,
     model: &ChannelModel,
@@ -473,7 +472,7 @@ pub fn subtract_known_prepared(
 /// # Panics
 ///
 /// Panics if `out.len()` is not the whole-ID sample count.
-pub fn transmit_mixed_cached<R: Rng + ?Sized>(
+pub fn transmit_mixed_cached<R: AwgnRng + ?Sized>(
     tags: &[TagId],
     cfg: &MskConfig,
     model: &ChannelModel,
@@ -588,7 +587,7 @@ pub fn estimate_two_amplitudes(samples: &[Complex]) -> Option<EnergyEstimate> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn cfg() -> MskConfig {
         MskConfig::default()

@@ -25,10 +25,9 @@
 //! clean-channel runs byte-identical to the ideal resolution model.
 
 use crate::anc::{self, AncError, ReferenceCache, ResolveScratch};
-use crate::channel::add_awgn;
+use crate::channel::{add_awgn, AwgnRng};
 use crate::complex::{inner_product, mean_power, Complex};
 use crate::msk::{MskConfig, MskModulator};
-use rand::Rng;
 use rfid_types::TagId;
 
 /// Standard deviation (per real dimension) of the *extra* noise a
@@ -69,7 +68,7 @@ pub struct ResolutionAttempt {
 /// power used for the reported residual SNR. With `extra_noise_std == 0`
 /// the recovered result is exactly [`anc::resolve`]'s (the RNG is not
 /// touched).
-pub fn resolve_cascaded<R: Rng + ?Sized>(
+pub fn resolve_cascaded<R: AwgnRng + ?Sized>(
     mixed: &[Complex],
     known: &[TagId],
     cfg: &MskConfig,
@@ -96,7 +95,7 @@ pub fn resolve_cascaded<R: Rng + ?Sized>(
 /// `scratch` keeps the attempt allocation-free in steady state. Same RNG
 /// draws, same arithmetic, bit-identical outcome.
 #[allow(clippy::too_many_arguments)] // mirrors resolve_cascaded plus the two scratch handles
-pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
+pub fn resolve_cascaded_cached<R: AwgnRng + ?Sized>(
     mixed: &[Complex],
     known: &[TagId],
     cfg: &MskConfig,
@@ -140,7 +139,7 @@ pub fn resolve_cascaded_cached<R: Rng + ?Sized>(
 /// counter stream*. The noise comes from [`add_awgn`], one normal pair per
 /// complex sample; realizations depend only on the stream handed in, never
 /// on what other records drew.
-pub fn degrade_into<R: Rng + ?Sized>(
+pub fn degrade_into<R: AwgnRng + ?Sized>(
     mixed: &[Complex],
     extra_noise_std: f64,
     rng: &mut R,
@@ -298,7 +297,7 @@ mod tests {
     use crate::anc::transmit_mixed;
     use crate::channel::ChannelModel;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn cfg() -> MskConfig {
         MskConfig::default()

@@ -9,37 +9,11 @@
 //! slot) plus additive white Gaussian noise at the reader.
 
 use crate::complex::Complex;
+use rand::rngs::StdRng;
 use rand::Rng;
+pub use rfid_types::hash::standard_normal_pair;
+use rfid_types::hash::CounterRng;
 use std::f64::consts::PI;
-
-/// Draws an independent standard-normal *pair* via one Marsaglia polar
-/// transform (the offline `rand` 0.8 has no bundled normal distribution).
-///
-/// The polar method is the trig-free form of Box-Muller: rejection-sample a
-/// point uniform in the unit disk (≈ 1.27 tries), then scale it by
-/// `√(−2·ln s / s)` — the direction cosines come from the point itself, so
-/// the per-pair cost is one `ln`/`sqrt` instead of Box-Muller's
-/// `ln`/`sqrt`/[`f64::sin_cos`]. The transform is exact (both variates are
-/// independent N(0,1), pinned by the moment/KS tests below), and both are
-/// returned so filling `n` normals costs `n/2` transforms. Complex AWGN
-/// maps one pair onto one sample: `(re, im) = (z0, z1)`.
-///
-/// The rejection loop draws a *variable* number of uniforms per pair, which
-/// is harmless under per-`(record, hop)` counter streams: no other consumer
-/// ever continues a stream mid-sequence, so draw counts never need to line
-/// up across call sites.
-#[must_use]
-pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    loop {
-        let u = rng.gen::<f64>() * 2.0 - 1.0;
-        let v = rng.gen::<f64>() * 2.0 - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let f = (-2.0 * s.ln() / s).sqrt();
-            return (u * f, v * f);
-        }
-    }
-}
 
 /// Draws a single standard-normal variate (the cosine half of
 /// [`standard_normal_pair`]).
@@ -58,10 +32,37 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Receiver noise ([`ChannelModel::add_noise`]) and cascade degradation
 /// ([`crate::cascade::degrade_into`]) both draw through here, so a stream
 /// handed to either sees the same draws and is left in the same state.
-pub fn add_awgn<R: Rng + ?Sized>(samples: &mut [Complex], std: f64, rng: &mut R) {
-    for s in samples {
-        let (re, im) = standard_normal_pair(rng);
-        *s += Complex::new(std * re, std * im);
+/// How the pairs are drawn depends on the generator ([`AwgnRng`]); the
+/// samples and the state left behind do not.
+pub fn add_awgn<R: AwgnRng + ?Sized>(samples: &mut [Complex], std: f64, rng: &mut R) {
+    rng.add_awgn_to(samples, std);
+}
+
+/// A generator [`add_awgn`] draws from. The default method draws one
+/// [`standard_normal_pair`] per sample; a generator may override it with a
+/// faster path that yields the same samples and leaves the same state.
+pub trait AwgnRng: Rng {
+    /// [`add_awgn`] on this generator.
+    fn add_awgn_to(&mut self, samples: &mut [Complex], std: f64) {
+        for s in samples {
+            let (re, im) = standard_normal_pair(self);
+            *s += Complex::new(std * re, std * im);
+        }
+    }
+}
+
+/// The sequential generator of seeded runs and experiments: one pair at a
+/// time.
+impl AwgnRng for StdRng {}
+
+/// The per-`(record, hop)` noise stream: its pairs come from
+/// [`CounterRng::standard_normal_pairs`], a block sampler where the CPU
+/// has AVX-512, bit-identical to the pair loop.
+impl AwgnRng for CounterRng {
+    fn add_awgn_to(&mut self, samples: &mut [Complex], std: f64) {
+        self.standard_normal_pairs(samples.len(), |i, re, im| {
+            samples[i] += Complex::new(std * re, std * im);
+        });
     }
 }
 
@@ -242,7 +243,7 @@ impl ChannelModel {
 
     /// Adds receiver noise in place through [`add_awgn`]: one normal pair
     /// per complex sample, none at all in a noiseless model.
-    pub fn add_noise<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
+    pub fn add_noise<R: AwgnRng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
         if self.noise_std == 0.0 {
             return;
         }
@@ -416,26 +417,30 @@ mod tests {
         }
     }
 
-    fn assert_awgn_matches_pairs<R: Rng + Clone>(rng: R) {
-        for len in 0..=200usize {
+    /// Lengths 0..=300 (every remainder of a 64-candidate block, several
+    /// blocks deep) and 769, one MSK ID waveform, at several `std`.
+    fn assert_awgn_matches_pairs<R: AwgnRng + Clone>(rng: R) {
+        for len in (0..=300usize).chain([769]) {
             let clean: Vec<Complex> = (0..len)
                 .map(|n| Complex::new((n as f64).sin(), -(n as f64 * 0.3).cos()))
                 .collect();
-            let (mut kernel_rng, mut oracle_rng) = (rng.clone(), rng.clone());
-            let mut got = clean.clone();
-            add_awgn(&mut got, 0.37, &mut kernel_rng);
-            let mut expect = clean;
-            awgn_by_pairs(&mut expect, 0.37, &mut oracle_rng);
-            for (g, e) in got.iter().zip(&expect) {
-                assert_eq!(g.re.to_bits(), e.re.to_bits(), "len {len}");
-                assert_eq!(g.im.to_bits(), e.im.to_bits(), "len {len}");
+            for std in [0.37, 1.0, 1e-3] {
+                let (mut kernel_rng, mut oracle_rng) = (rng.clone(), rng.clone());
+                let mut got = clean.clone();
+                add_awgn(&mut got, std, &mut kernel_rng);
+                let mut expect = clean.clone();
+                awgn_by_pairs(&mut expect, std, &mut oracle_rng);
+                for (g, e) in got.iter().zip(&expect) {
+                    assert_eq!(g.re.to_bits(), e.re.to_bits(), "len {len}, std {std}");
+                    assert_eq!(g.im.to_bits(), e.im.to_bits(), "len {len}, std {std}");
+                }
+                // Same draws consumed: the generators continue identically.
+                assert_eq!(
+                    kernel_rng.gen::<u64>(),
+                    oracle_rng.gen::<u64>(),
+                    "len {len}, std {std}"
+                );
             }
-            // Same draws consumed: the generators continue identically.
-            assert_eq!(
-                kernel_rng.gen::<u64>(),
-                oracle_rng.gen::<u64>(),
-                "len {len}"
-            );
         }
     }
 

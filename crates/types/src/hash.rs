@@ -14,8 +14,13 @@
 //! finalizer over a mix of the 96-bit ID and the 64-bit slot index: fast,
 //! stateless, and with excellent avalanche behaviour (verified by the tests
 //! below and by the chi-squared property test in `rfid-sim`).
+//!
+//! The same finalizer drives [`CounterRng`], the counter-based stream that
+//! signal-backed resolution draws its Gaussian noise from, and its block
+//! polar sampler [`CounterRng::standard_normal_pairs`].
 
 use crate::TagId;
+use rand::{Rng, RngCore};
 
 /// Mixes one 64-bit word with the SplitMix64 finalizer.
 #[inline]
@@ -29,7 +34,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// bits 63..33 unchanged, so the top 31 bits of the two outputs agree.
 #[inline(always)]
 fn splitmix64_premix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_add(GOLDEN_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB)
 }
@@ -133,7 +138,7 @@ pub fn scan_transmitters(
     l: u32,
     hit: impl FnMut(usize),
 ) {
-    scan_on(ScanKernel::detect(), states, slot, threshold, l, hit);
+    scan_on(Kernel::detect(), states, slot, threshold, l, hit);
 }
 
 /// The name of the block kernel [`scan_transmitters`] runs on this CPU:
@@ -141,37 +146,39 @@ pub fn scan_transmitters(
 /// timings from different hosts can be told apart.
 #[must_use]
 pub fn scan_kernel_name() -> &'static str {
-    ScanKernel::detect().name()
+    Kernel::detect().name()
 }
 
-/// A compiled copy of the block scan [`scan_below`].
+/// A compiled copy of a block kernel: the scan [`scan_below`] or the
+/// polar candidates [`polar_candidates`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanKernel {
+enum Kernel {
     /// Built for the default target.
     Scalar,
     /// Built with AVX-512F and AVX-512DQ enabled (x86-64 only).
     Avx512,
 }
 
-impl ScanKernel {
+impl Kernel {
     /// The fastest copy this CPU can run.
     fn detect() -> Self {
         if avx512_detected() {
-            ScanKernel::Avx512
+            Kernel::Avx512
         } else {
-            ScanKernel::Scalar
+            Kernel::Scalar
         }
     }
 
     fn name(self) -> &'static str {
         match self {
-            ScanKernel::Scalar => "scalar",
-            ScanKernel::Avx512 => "avx512",
+            Kernel::Scalar => "scalar",
+            Kernel::Avx512 => "avx512",
         }
     }
 }
 
-/// Whether this CPU has every feature [`scan_below_avx512`] enables.
+/// Whether this CPU has every feature [`scan_below_avx512`] and
+/// [`polar_candidates_avx512`] enable.
 /// std caches the answer, so a call costs a load and a bit test.
 fn avx512_detected() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -187,7 +194,7 @@ fn avx512_detected() -> bool {
 
 /// [`scan_transmitters`] on a given kernel copy.
 fn scan_on(
-    kernel: ScanKernel,
+    kernel: Kernel,
     states: &[TagHashState],
     slot: u64,
     threshold: u64,
@@ -203,12 +210,13 @@ fn scan_on(
     scan_below_on(kernel, states, slot, limit, l == 32, &mut hit);
 }
 
-/// Runs [`scan_below`] on `kernel`'s copy; the crate's one `unsafe` call.
+/// Runs [`scan_below`] on `kernel`'s copy; one of the crate's two
+/// `unsafe` calls (the other is [`polar_candidates_on`]).
 /// An `Avx512` request on a CPU without those features runs the scalar
 /// copy.
 #[allow(unsafe_code)]
 fn scan_below_on(
-    kernel: ScanKernel,
+    kernel: Kernel,
     states: &[TagHashState],
     slot: u64,
     limit: u64,
@@ -217,7 +225,7 @@ fn scan_below_on(
 ) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        ScanKernel::Avx512 if avx512_detected() => {
+        Kernel::Avx512 if avx512_detected() => {
             // SAFETY: `scan_below_avx512` enables `avx512f` and `avx512dq`,
             // and the guard's `avx512_detected` has just confirmed at
             // runtime (`is_x86_feature_detected!`) that this CPU has both.
@@ -279,6 +287,243 @@ fn scan_below<const FULL: bool>(
             hit(tail_start + i);
         }
     }
+}
+
+/// The SplitMix64 increment (Weyl constant).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A counter-based SplitMix64 generator: output `i` is
+/// `finalize(seed + (i + 1)·γ)` — the canonical SplittableRandom sequence.
+///
+/// Unlike a sequential generator, construction is free (one `u64`) and
+/// each output is three multiplies and some shifts, so signal-backed
+/// resolution can afford a *fresh* stream per `(record, hop)` pair instead
+/// of threading one sequential generator through the whole run. Because
+/// output `i` is a pure function of the seed and `i`, a burst of draws can
+/// also be generated in blocks: [`CounterRng::standard_normal_pairs`]
+/// computes 64 candidate pairs at once. Statistical quality is ample for
+/// AWGN synthesis (SplitMix64 passes BigCrush); it is **not** a
+/// cryptographic generator.
+#[derive(Debug, Clone)]
+pub struct CounterRng {
+    state: u64,
+}
+
+impl CounterRng {
+    /// Creates the stream rooted at `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        CounterRng { state: seed }
+    }
+
+    /// Draws `n` standard-normal pairs and hands pair `i` to
+    /// `emit(i, z0, z1)`, for `i` in `0..n` in order: exactly the pairs of
+    /// `n` calls of [`standard_normal_pair`], and the same state left
+    /// behind.
+    ///
+    /// On a CPU with AVX-512F/DQ ([`polar_kernel_name`]) the pairs come
+    /// from a block sampler: instead of a branch per candidate, candidates
+    /// are made 64 at a time from outputs `2k` and `2k + 1` of the stream;
+    /// the accepted ones are then transformed in order with one scalar `ln`
+    /// each, and the stream advances past the last candidate used
+    /// (DESIGN §13). Elsewhere the sequential loop runs, which measured
+    /// faster than the block sampler's default-target copy.
+    pub fn standard_normal_pairs(&mut self, n: usize, mut emit: impl FnMut(usize, f64, f64)) {
+        match Kernel::detect() {
+            Kernel::Avx512 => self.polar_blocks(Kernel::Avx512, n, emit),
+            Kernel::Scalar => {
+                for i in 0..n {
+                    let (z0, z1) = standard_normal_pair(self);
+                    emit(i, z0, z1);
+                }
+            }
+        }
+    }
+
+    /// The block sampler of [`CounterRng::standard_normal_pairs`], its
+    /// candidates made by `kernel`'s copy of [`polar_candidates`].
+    fn polar_blocks(&mut self, kernel: Kernel, n: usize, mut emit: impl FnMut(usize, f64, f64)) {
+        let mut block = PolarBlock {
+            u: [0.0; POLAR_LANES],
+            v: [0.0; POLAR_LANES],
+            s: [0.0; POLAR_LANES],
+        };
+        let mut done = 0;
+        while done < n {
+            let accepted = polar_candidates_on(kernel, self.state, &mut block);
+            let (mut used, consumed) = take_accepted(accepted, n - done);
+            while used != 0 {
+                let k = used.trailing_zeros() as usize;
+                used &= used - 1;
+                let f = polar_scale(block.s[k]);
+                emit(done, block.u[k] * f, block.v[k] * f);
+                done += 1;
+            }
+            // Candidate k used outputs 2k and 2k + 1.
+            self.state = self
+                .state
+                .wrapping_add((2 * consumed as u64).wrapping_mul(GOLDEN_GAMMA));
+        }
+    }
+}
+
+/// Draws an independent standard-normal *pair* via one Marsaglia polar
+/// transform (the offline `rand` 0.8 has no bundled normal distribution).
+///
+/// The polar method is the trig-free form of Box-Muller: rejection-sample a
+/// point uniform in the unit disk (≈ 1.27 tries), then scale it by
+/// `√(−2·ln s / s)` — the direction cosines come from the point itself, so
+/// the per-pair cost is one `ln`/`sqrt` instead of Box-Muller's
+/// `ln`/`sqrt`/[`f64::sin_cos`]. The transform is exact (both variates are
+/// independent N(0,1), pinned by the moment and KS tests of the AWGN
+/// kernel in `rfid-signal`), and both are returned so filling `n` normals
+/// costs `n/2` transforms. Complex AWGN maps one pair onto one sample:
+/// `(re, im) = (z0, z1)`.
+///
+/// The rejection loop draws a *variable* number of uniforms per pair, which
+/// is harmless under per-`(record, hop)` counter streams: no other consumer
+/// ever continues a stream mid-sequence, so draw counts never need to line
+/// up across call sites.
+#[must_use]
+pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    loop {
+        let u = rng.gen::<f64>() * 2.0 - 1.0;
+        let v = rng.gen::<f64>() * 2.0 - 1.0;
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            let f = polar_scale(s);
+            return (u * f, v * f);
+        }
+    }
+}
+
+/// The polar method's scale `√(−2·ln s / s)` for an accepted `s`: libm
+/// `ln`, then a correctly rounded division and square root.
+#[inline(always)]
+fn polar_scale(s: f64) -> f64 {
+    (-2.0 * s.ln() / s).sqrt()
+}
+
+impl RngCore for CounterRng {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        // `splitmix64` already folds one γ increment into its finalizer,
+        // so stepping the state by γ afterwards yields exactly
+        // `finalize(seed + (i + 1)·γ)` per call.
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let mut chunks = dest.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let rest = chunks.into_remainder();
+        if !rest.is_empty() {
+            let bytes = self.next_u64().to_le_bytes();
+            rest.copy_from_slice(&bytes[..rest.len()]);
+        }
+    }
+}
+
+/// The name of the path [`CounterRng::standard_normal_pairs`] takes on
+/// this CPU: `"avx512"` for the block sampler, `"scalar"` for the
+/// sequential loop. Benchmarks record it beside [`scan_kernel_name`].
+#[must_use]
+pub fn polar_kernel_name() -> &'static str {
+    Kernel::detect().name()
+}
+
+/// Candidate pairs per block of [`CounterRng::standard_normal_pairs`].
+const POLAR_LANES: usize = 64;
+
+/// One block of polar candidates: `u`, `v` and `s = u² + v²` of
+/// candidates `0..POLAR_LANES`.
+struct PolarBlock {
+    u: [f64; POLAR_LANES],
+    v: [f64; POLAR_LANES],
+    s: [f64; POLAR_LANES],
+}
+
+/// Runs [`polar_candidates`] on `kernel`'s copy; the crate's other
+/// `unsafe` call, guarded as in [`scan_below_on`]. An `Avx512` request on
+/// a CPU without those features runs the scalar copy.
+#[allow(unsafe_code)]
+fn polar_candidates_on(kernel: Kernel, base: u64, block: &mut PolarBlock) -> u64 {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 if avx512_detected() => {
+            // SAFETY: `polar_candidates_avx512` enables `avx512f` and
+            // `avx512dq`, and the guard's `avx512_detected` has just
+            // confirmed at runtime (`is_x86_feature_detected!`) that this
+            // CPU has both.
+            unsafe { polar_candidates_avx512(base, block) }
+        }
+        _ => polar_candidates(base, block),
+    }
+}
+
+/// [`polar_candidates`] compiled with AVX-512F and AVX-512DQ: LLVM runs
+/// the finalizer on `vpmullq`, the integer-to-float conversion on
+/// `vcvtqq2pd` and the accept test on mask compares, eight candidates at
+/// a time. Every step is an exact integer operation or a correctly
+/// rounded float one, so both copies produce the same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn polar_candidates_avx512(base: u64, block: &mut PolarBlock) -> u64 {
+    polar_candidates(base, block)
+}
+
+/// Phase 1 of the block sampler: candidate `k` of the block whose stream
+/// state is `base` takes outputs `2k` and `2k + 1` as `u` and `v`, with
+/// the arithmetic of `gen::<f64>() * 2.0 - 1.0`, and `s = u*u + v*v`
+/// (Rust never fuses that into a multiply-add). Returns
+/// [`accepted_mask`] of the block.
+#[inline(always)]
+fn polar_candidates(base: u64, block: &mut PolarBlock) -> u64 {
+    let uniform = |x: u64| (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * 2.0 - 1.0;
+    for k in 0..POLAR_LANES {
+        let counter = base.wrapping_add((2 * k as u64).wrapping_mul(GOLDEN_GAMMA));
+        let u = uniform(splitmix64(counter));
+        let v = uniform(splitmix64(counter.wrapping_add(GOLDEN_GAMMA)));
+        block.u[k] = u;
+        block.v[k] = v;
+        block.s[k] = u * u + v * v;
+    }
+    accepted_mask(&block.s)
+}
+
+/// The candidates the polar method accepts, as a mask: bit `k` is set
+/// when `s[k]` lies in the open interval `(0, 1)`. No branch per
+/// candidate.
+#[inline(always)]
+fn accepted_mask(s: &[f64; POLAR_LANES]) -> u64 {
+    s.iter().enumerate().fold(0, |mask, (k, &s)| {
+        mask | u64::from((s > 0.0) & (s < 1.0)) << k
+    })
+}
+
+/// Phase 2's bookkeeping: which of the `accepted` candidates to use when
+/// `need >= 1` more pairs are wanted (the lowest `need` bits, or all of
+/// them), and how many candidates that uses up. When the block finishes
+/// the burst that is the last one used plus one; otherwise it is the whole
+/// block, whose trailing rejects the sequential loop would have drawn too.
+fn take_accepted(accepted: u64, need: usize) -> (u64, usize) {
+    debug_assert!(need >= 1);
+    if (accepted.count_ones() as usize) < need {
+        return (accepted, POLAR_LANES);
+    }
+    let mut rest = accepted;
+    for _ in 0..need {
+        rest &= rest - 1;
+    }
+    let used = accepted ^ rest;
+    (used, POLAR_LANES - used.leading_zeros() as usize)
 }
 
 /// Computes the full-width 64-bit hash `H(ID|slot)`.
@@ -466,16 +711,16 @@ mod tests {
 
     /// Every kernel copy this CPU runs: the scalar one always, then the
     /// one [`scan_transmitters`] picks if it is wider.
-    fn kernels() -> Vec<ScanKernel> {
-        let mut kernels = vec![ScanKernel::Scalar];
-        if ScanKernel::detect() != ScanKernel::Scalar {
-            kernels.push(ScanKernel::detect());
+    fn kernels() -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Scalar];
+        if Kernel::detect() != Kernel::Scalar {
+            kernels.push(Kernel::detect());
         }
         kernels
     }
 
     fn kernel_scan(
-        kernel: ScanKernel,
+        kernel: Kernel,
         states: &[TagHashState],
         slot: u64,
         threshold: u64,
@@ -504,10 +749,7 @@ mod tests {
             .collect();
         let mut hits = Vec::new();
         scan_transmitters(&states, 3, 9_000, 16, |i| hits.push(i));
-        assert_eq!(
-            hits,
-            kernel_scan(ScanKernel::detect(), &states, 3, 9_000, 16)
-        );
+        assert_eq!(hits, kernel_scan(Kernel::detect(), &states, 3, 9_000, 16));
         assert_eq!(hits, reference_scan(&states, 3, 9_000, 16));
     }
 
@@ -629,6 +871,203 @@ mod tests {
             assert_eq!(hits.contains(&pos), transmits, "{} kernel", kernel.name());
             assert_eq!(hits, reference_scan(&states, slot, threshold, l));
         }
+    }
+
+    /// The block sampler's oracle: `n` sequential polar draws, each
+    /// taking uniforms through `gen::<f64>()` until one lands in the unit
+    /// disk. Returns the pairs and the candidates each draw used up.
+    fn polar_by_pairs(rng: &mut CounterRng, n: usize) -> (Vec<(f64, f64)>, Vec<usize>) {
+        let mut pairs = Vec::with_capacity(n);
+        let mut tries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut t = 0;
+            loop {
+                t += 1;
+                let u = rng.gen::<f64>() * 2.0 - 1.0;
+                let v = rng.gen::<f64>() * 2.0 - 1.0;
+                let s = u * u + v * v;
+                if s > 0.0 && s < 1.0 {
+                    let f = (-2.0 * s.ln() / s).sqrt();
+                    pairs.push((u * f, v * f));
+                    tries.push(t);
+                    break;
+                }
+            }
+        }
+        (pairs, tries)
+    }
+
+    /// The samplers under test: the block sampler on every kernel copy
+    /// this CPU runs (`Some`), and the public method's choice (`None`).
+    fn samplers() -> Vec<Option<Kernel>> {
+        kernels().into_iter().map(Some).chain([None]).collect()
+    }
+
+    fn sampler_name(sampler: Option<Kernel>) -> &'static str {
+        sampler.map_or("dispatched", Kernel::name)
+    }
+
+    fn sampled_pairs(sampler: Option<Kernel>, rng: &mut CounterRng, n: usize) -> Vec<(f64, f64)> {
+        let mut pairs = Vec::with_capacity(n);
+        let emit = |i: usize, z0: f64, z1: f64| {
+            assert_eq!(i, pairs.len());
+            pairs.push((z0, z1));
+        };
+        match sampler {
+            Some(kernel) => rng.polar_blocks(kernel, n, emit),
+            None => rng.standard_normal_pairs(n, emit),
+        }
+        pairs
+    }
+
+    /// Same pair bits, and the same state after: the next output agrees,
+    /// and SplitMix64 is a bijection, so the states are equal.
+    fn assert_sampler_matches_pairs(sampler: Option<Kernel>, seed: u64, n: usize) {
+        let name = sampler_name(sampler);
+        let (mut block_rng, mut pair_rng) = (CounterRng::new(seed), CounterRng::new(seed));
+        let got = sampled_pairs(sampler, &mut block_rng, n);
+        let (expect, _) = polar_by_pairs(&mut pair_rng, n);
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(
+                (g.0.to_bits(), g.1.to_bits()),
+                (e.0.to_bits(), e.1.to_bits()),
+                "{name} sampler, seed {seed}, n {n}, pair {i}"
+            );
+        }
+        assert_eq!(got.len(), n);
+        assert_eq!(
+            block_rng.next_u64(),
+            pair_rng.next_u64(),
+            "{name} sampler, seed {seed}, n {n}"
+        );
+    }
+
+    #[test]
+    fn polar_kernels_under_test() {
+        // Run with `--nocapture` to see the list.
+        let names: Vec<&str> = kernels().iter().map(|k| k.name()).collect();
+        println!("awgn kernels under test: {}", names.join(", "));
+        assert_eq!(names.last(), Some(&polar_kernel_name()));
+    }
+
+    #[test]
+    fn polar_blocks_match_the_pair_loop() {
+        // Every length up to 300 (all block remainders, several blocks
+        // deep) and 769, one MSK ID waveform, on three streams.
+        for sampler in samplers() {
+            for seed in [0, 17, 0xDEAD_BEEF_u64] {
+                for n in (0..=300).chain([769]) {
+                    assert_sampler_matches_pairs(sampler, seed, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn polar_blocks_match_at_block_boundaries() {
+        // Bursts whose last pair takes the last candidate of a block, so
+        // the next burst starts on a fresh block; and the lengths one
+        // either side.
+        let seed = 41;
+        let (_, tries) = polar_by_pairs(&mut CounterRng::new(seed), 5_000);
+        let mut used = 0;
+        let mut boundaries = Vec::new();
+        for (i, t) in tries.iter().enumerate() {
+            used += t;
+            if used % POLAR_LANES == 0 {
+                boundaries.push(i + 1);
+            }
+        }
+        assert!(boundaries.len() >= 20, "{boundaries:?}");
+        for sampler in samplers() {
+            for &n in &boundaries {
+                for n in [n - 1, n, n + 1] {
+                    assert_sampler_matches_pairs(sampler, seed, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn polar_kernels_agree_on_many_blocks() {
+        // Both copies of phase 1 on the same blocks, bit for bit.
+        let mut base = 0x0123_4567_89AB_CDEF_u64;
+        let blank = || PolarBlock {
+            u: [0.0; POLAR_LANES],
+            v: [0.0; POLAR_LANES],
+            s: [0.0; POLAR_LANES],
+        };
+        for _ in 0..10_000 {
+            base = splitmix64(base);
+            let (mut scalar, mut wide) = (blank(), blank());
+            assert_eq!(
+                polar_candidates_on(Kernel::Scalar, base, &mut scalar),
+                polar_candidates_on(Kernel::detect(), base, &mut wide)
+            );
+            for k in 0..POLAR_LANES {
+                assert_eq!(scalar.u[k].to_bits(), wide.u[k].to_bits());
+                assert_eq!(scalar.v[k].to_bits(), wide.v[k].to_bits());
+                assert_eq!(scalar.s[k].to_bits(), wide.s[k].to_bits());
+            }
+        }
+    }
+
+    /// A block of rejects (`s = 1.5`) with accepts at `at`.
+    fn s_block(at: &[usize]) -> [f64; POLAR_LANES] {
+        let mut s = [1.5; POLAR_LANES];
+        for &k in at {
+            s[k] = 0.5;
+        }
+        s
+    }
+
+    /// Phase 2 on a synthetic block: the indices used and the candidates
+    /// consumed when `need` more pairs are wanted.
+    fn take(s: &[f64; POLAR_LANES], need: usize) -> (Vec<usize>, usize) {
+        let (mut used, consumed) = take_accepted(accepted_mask(s), need);
+        let mut indices = Vec::new();
+        while used != 0 {
+            indices.push(used.trailing_zeros() as usize);
+            used &= used - 1;
+        }
+        (indices, consumed)
+    }
+
+    #[test]
+    fn take_accepted_with_no_accepts_uses_the_whole_block() {
+        assert_eq!(take(&s_block(&[]), 1), (vec![], POLAR_LANES));
+        // The disk is open: s = 0 and s = 1 are rejected too.
+        let mut edges = [1.0; POLAR_LANES];
+        edges[7] = 0.0;
+        assert_eq!(accepted_mask(&edges), 0);
+        assert_eq!(take(&edges, 3), (vec![], POLAR_LANES));
+    }
+
+    #[test]
+    fn take_accepted_with_the_only_accept_last() {
+        let s = s_block(&[63]);
+        // Finishing the burst or not, the block is used up.
+        assert_eq!(take(&s, 1), (vec![63], POLAR_LANES));
+        assert_eq!(take(&s, 5), (vec![63], POLAR_LANES));
+    }
+
+    #[test]
+    fn take_accepted_with_more_accepts_than_needed() {
+        let s = s_block(&[0, 3, 10, 20, 63]);
+        assert_eq!(take(&s, 1), (vec![0], 1));
+        assert_eq!(take(&s, 2), (vec![0, 3], 4));
+        assert_eq!(take(&s, 4), (vec![0, 3, 10, 20], 21));
+        // Exactly as many as needed: through the last one, which at 63 is
+        // the whole block.
+        assert_eq!(take(&s_block(&[2, 9]), 2), (vec![2, 9], 10));
+        assert_eq!(take(&s, 5), (vec![0, 3, 10, 20, 63], POLAR_LANES));
+        assert_eq!(take(&s, 6), (vec![0, 3, 10, 20, 63], POLAR_LANES));
+        // Every candidate accepted.
+        let all = [0.25; POLAR_LANES];
+        let every: Vec<usize> = (0..POLAR_LANES).collect();
+        assert_eq!(take(&all, 64), (every.clone(), POLAR_LANES));
+        assert_eq!(take(&all, 100), (every, POLAR_LANES));
+        assert_eq!(take(&all, 9), ((0..9).collect(), 9));
     }
 
     proptest! {

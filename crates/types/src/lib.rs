@@ -13,6 +13,8 @@
 //! * [`hash`] — the deterministic slot-membership hash `H(ID|i)` from §IV-A.
 //!   Both the tags and the reader evaluate it, which is what lets the reader
 //!   reconstruct *which* known tags participated in an old collision slot.
+//!   The module also holds `CounterRng`, the SplitMix64 counter stream that
+//!   signal-backed resolution draws its Gaussian noise from.
 //! * [`timing`] — the Philips I-Code air-interface timing used in §VI
 //!   (53 kbit/s, 96-bit IDs, 20-bit acknowledgements, 302 µs guard times).
 //! * [`slot`] — the slot-outcome taxonomy (empty / singleton / k-collision).
@@ -32,8 +34,9 @@
 //! let _ = transmits(id, 7, threshold, l);
 //! ```
 
-// One item may call `unsafe`: the runtime-checked dispatch to the
-// AVX-512 copy of the Hash-membership scan (`hash::scan_below_on`).
+// Two items may call `unsafe`: the runtime-checked dispatches to the
+// AVX-512 copies of the Hash-membership scan (`hash::scan_below_on`) and
+// of the AWGN sampler's candidate block (`hash::polar_candidates_on`).
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
