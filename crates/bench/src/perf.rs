@@ -147,6 +147,11 @@ struct Entry {
     slot_level: bool,
     /// Per-entry allocation gate (allocs/slot); `None` exempts the entry.
     alloc_limit: Option<f64>,
+    /// For a `*/signal-soa` cell timed with its [`gate_reference`]: its
+    /// slots/s ÷ the reference's, the median over the interleaved turns.
+    /// This is the ratio the `--gate` check compares; it depends on the
+    /// AWGN kernel, so the JSON row names [`polar_kernel_name`] beside it.
+    gate_ratio: Option<f64>,
 }
 
 impl Entry {
@@ -182,11 +187,16 @@ fn bench_population(n: usize) -> Vec<TagId> {
     population::uniform(&mut seeded_rng(1_000 + n as u64), n)
 }
 
-/// Times `a` and `b` in turn, one inventory of each, and returns the best
-/// timed call of each side. Interleaving puts both sides under the same
-/// host state, which on a host that drifts between fast and slow phases
-/// matters more than how many calls each side gets. Each timed call
-/// directly follows an untimed call of the same routine, so it starts
+/// Times `a` and `b` in turn and returns the best timed call of each side
+/// and the median over turns of `b`'s time per call ÷ `a`'s. Interleaving
+/// puts both sides under the same host state, which on a host that drifts
+/// between fast and slow phases matters more than how many calls each side
+/// gets. A turn times one call of `a` and a batch of calls of `b` that
+/// lasts about as long (the batch size is set from one warm call of each),
+/// so a host slowdown that takes a share of the CPU for longer than one
+/// call of `a` takes the same share of both sides. The median of per-turn
+/// ratios then discards the turns a brief slowdown hit. Each timed call or
+/// batch directly follows an untimed call of the same routine, so it starts
 /// with its own working set in cache, as in a batch of
 /// [`measure_with_budget`], not with the other side's. Turns continue until
 /// the timed calls add up to twice `budget`, one budget per side.
@@ -194,30 +204,57 @@ fn measure_interleaved<A, B>(
     budget: Duration,
     mut a: impl FnMut() -> A,
     mut b: impl FnMut() -> B,
-) -> (Measurement, Measurement) {
+) -> (Measurement, Measurement, f64) {
+    let (first_a, first_b) = (time_warm(&mut a, 1), time_warm(&mut b, 1));
+    let batch = (first_a.as_secs_f64() / first_b.as_secs_f64().max(1e-9))
+        .round()
+        .clamp(1.0, 1_000.0) as u32;
     let mut best = [f64::INFINITY; 2];
+    let mut ratios = Vec::new();
     let mut timed = Duration::ZERO;
-    let mut turns = 0u64;
-    while turns == 0 || timed < 2 * budget {
-        let times = [time_warm(&mut a), time_warm(&mut b)];
-        for (best, time) in best.iter_mut().zip(times) {
-            *best = best.min(time.as_nanos() as f64);
-            timed += time;
+    while ratios.is_empty() || timed < 2 * budget {
+        let (time_a, time_b) = (time_warm(&mut a, 1), time_warm(&mut b, batch));
+        timed += time_a + time_b;
+        let per_call = [
+            time_a.as_nanos() as f64,
+            time_b.as_nanos() as f64 / f64::from(batch),
+        ];
+        for (best, time) in best.iter_mut().zip(per_call) {
+            *best = best.min(time);
         }
-        turns += 1;
+        ratios.push(per_call[1] / per_call[0].max(1.0));
     }
-    let measurement = |best_ns_per_iter| Measurement {
+    let turns = ratios.len() as u64;
+    let measurement = |best_ns_per_iter, iters| Measurement {
         best_ns_per_iter,
-        iters: 2 * turns,
+        iters,
     };
-    (measurement(best[0]), measurement(best[1]))
+    (
+        measurement(best[0], turns),
+        measurement(best[1], turns * u64::from(batch)),
+        median(&mut ratios),
+    )
 }
 
-/// Calls `routine` twice and returns the duration of the second call.
-fn time_warm<O>(routine: &mut impl FnMut() -> O) -> Duration {
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
+}
+
+/// Calls `routine` once untimed, then `calls` times, and returns the
+/// duration of the timed calls.
+fn time_warm<O>(routine: &mut impl FnMut() -> O, calls: u32) -> Duration {
     black_box(routine());
     let start = Instant::now();
-    black_box(routine());
+    for _ in 0..calls {
+        black_box(routine());
+    }
     start.elapsed()
 }
 
@@ -355,7 +392,8 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
             let slots = report.slots.total();
 
             let gated = gate.as_deref().is_some_and(|gate| {
-                gate_compares(gate, specs.iter().map(|spec| spec.0.as_str()), name, n)
+                let cells = specs.iter().map(|spec| spec.0.as_str());
+                gate_compares(gate, polar_kernel_name(), cells, name, n)
             });
             let budget_ms = if opts.smoke && opts.budget_ms.is_none() && gated {
                 SMOKE_GATE_BUDGET_MS
@@ -375,6 +413,7 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
                 allocs_per_slot: allocs.map(|a| a as f64 / slots.max(1) as f64),
                 slot_level,
                 alloc_limit,
+                gate_ratio: None,
             };
             if gated {
                 gated_cells.push(entries.len());
@@ -402,13 +441,15 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
             .expect("the gate compares a signal-soa cell only with its reference");
         let tags = bench_population(n);
         let (run_soa, run_ref) = (runner_of(&entries[soa].name), runner_of(&reference));
-        let (m_soa, m_ref) = measure_interleaved(
+        let (m_soa, m_ref, ref_over_soa) = measure_interleaved(
             Duration::from_millis(entries[soa].budget_ms),
             || run_soa(&tags, &config).expect("bench rerun cannot fail"),
             || run_ref(&tags, &config).expect("bench rerun cannot fail"),
         );
         entries[soa].set_timing(m_soa);
         entries[partner].set_timing(m_ref);
+        let slots = entries[soa].slots as f64 / entries[partner].slots.max(1) as f64;
+        entries[soa].gate_ratio = Some(slots * ref_over_soa);
         entries[partner].print();
         entries[soa].print();
     }
@@ -475,52 +516,39 @@ pub fn run(opts: &BenchOptions, alloc_count: Option<&dyn Fn() -> u64>) -> Result
     }
 
     if let Some(gate) = &gate {
-        check_throughput_gate(&entries, gate)?;
+        check_throughput_gate(&entries, gate, polar_kernel_name())?;
     }
     Ok(())
 }
 
 /// Enforces the signal-throughput gate: for every `*/signal-soa*` cell
-/// present in both this run and the committed gate file (rows of cells
-/// this harness no longer runs find no partner and are skipped), the
-/// ratio signal-soa slots/s ÷
-/// sampled slots/s (same protocol family, same `n`) must not fall more than
-/// [`GATE_TOLERANCE`] below the committed ratio. Normalizing by a cell
-/// measured in the same run makes the gate insensitive to absolute machine
-/// speed. The reference is the sampled-membership cell because the
-/// signal-soa cells run sampled membership too: both share the engine and
-/// differ only in resolution, so a change to the Hash-membership scan,
-/// which neither runs, cannot move the ratio.
-fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
-    let sps = |name: &str, n: usize| -> Option<f64> {
-        entries
-            .iter()
-            .find(|e| e.name == name && e.n == n)
-            .map(|e| e.slots_per_sec)
-            .filter(|v| *v > 0.0)
-    };
-
+/// with a measured [`Entry::gate_ratio`] and a committed one in the gate
+/// file for the same `n` and the AWGN `kernel` this CPU ran (rows of cells
+/// this harness no longer runs find no partner and are skipped), the ratio
+/// signal-soa slots/s ÷ sampled slots/s (same protocol family, same `n`)
+/// must not fall more than [`GATE_TOLERANCE`] below the committed ratio.
+/// Normalizing by a cell measured in the same run makes the gate
+/// insensitive to absolute machine speed. The reference is the
+/// sampled-membership cell because the signal-soa cells run sampled
+/// membership too: both share the engine and differ only in resolution, so
+/// a change to the Hash-membership scan, which neither runs, cannot move
+/// the ratio. The AWGN kernel does move it (the AVX-512 block sampler
+/// raises it about 1.4×), so a ratio is only compared with one committed
+/// for the same kernel, and a gate file without such rows fails the run.
+fn check_throughput_gate(entries: &[Entry], gate: &str, kernel: &str) -> Result<(), String> {
     let mut compared = 0usize;
     let mut violations = Vec::new();
     for e in entries {
-        let Some(reference) = gate_reference(&e.name) else {
-            continue;
-        };
-        let (Some(cur_soa), Some(cur_ref), Some(old_soa), Some(old_ref)) = (
-            sps(&e.name, e.n),
-            sps(&reference, e.n),
-            gate_slots_per_sec(gate, &e.name, e.n),
-            gate_slots_per_sec(gate, &reference, e.n),
-        ) else {
+        let (Some(cur_ratio), Some(old_ratio)) =
+            (e.gate_ratio, committed_ratio(gate, kernel, &e.name, e.n))
+        else {
             continue;
         };
         compared += 1;
-        let cur_ratio = cur_soa / cur_ref;
-        let old_ratio = old_soa / old_ref;
         let floor = old_ratio * (1.0 - GATE_TOLERANCE);
         println!(
             "gate {:<18} n={:<6} signal/sampled ratio {cur_ratio:.4} \
-             (committed {old_ratio:.4}, floor {floor:.4})",
+             (committed {old_ratio:.4} for awgn kernel {kernel}, floor {floor:.4})",
             e.name, e.n
         );
         if cur_ratio < floor {
@@ -534,6 +562,15 @@ fn check_throughput_gate(entries: &[Entry], gate: &str) -> Result<(), String> {
         }
     }
     if compared == 0 {
+        let kernels = gate_kernels(gate);
+        if !kernels.is_empty() && !kernels.contains(&kernel) {
+            return Err(format!(
+                "throughput gate: the gate file holds signal/sampled ratios for awgn \
+                 kernel {} only, but this CPU runs awgn kernel {kernel}; measure its \
+                 rows with `repro bench --smoke --gate` on such a CPU and commit them",
+                kernels.join(", ")
+            ));
+        }
         return Err(
             "throughput gate: no (signal-soa, sampled) cell pair exists in both this \
                     run and the gate file — check sizes/alloc-check flags"
@@ -560,31 +597,50 @@ fn gate_reference(name: &str) -> Option<String> {
 }
 
 /// Whether the gate check compares cell `(name, n)`: `name` is one of the
-/// signal-soa `cells` or the reference of one, and `gate` holds both the
-/// signal-soa cell and its reference at `n`.
+/// signal-soa `cells` or the reference of one, and `gate` holds a ratio
+/// for that signal-soa cell at `n` under the AWGN `kernel`.
 fn gate_compares<'a>(
     gate: &str,
+    kernel: &str,
     cells: impl IntoIterator<Item = &'a str>,
     name: &str,
     n: usize,
 ) -> bool {
-    let committed = |cell: &str| gate_slots_per_sec(gate, cell, n).is_some();
     cells.into_iter().any(|soa| {
         gate_reference(soa).is_some_and(|reference| {
-            (name == soa || name == reference) && committed(soa) && committed(&reference)
+            (name == soa || name == reference) && committed_ratio(gate, kernel, soa, n).is_some()
         })
     })
 }
 
-/// The committed slots/s of cell `(name, n)` in a gate file, if present.
-fn gate_slots_per_sec(gate: &str, name: &str, n: usize) -> Option<f64> {
+/// The rows of a gate file that carry a committed signal/sampled ratio.
+fn gate_rows(gate: &str) -> impl Iterator<Item = &str> {
     gate.lines()
-        .filter(|l| l.contains("\"slots\":"))
+        .filter(|l| l.contains("\"slots\":") && extract_json_num(l, "gate_ratio").is_some())
+}
+
+/// The committed ratio of signal-soa cell `(name, n)` under AWGN `kernel`
+/// in a gate file, if present.
+fn committed_ratio(gate: &str, kernel: &str, name: &str, n: usize) -> Option<f64> {
+    gate_rows(gate)
         .find(|l| {
-            extract_json_str(l, "name") == Some(name) && extract_json_num(l, "n") == Some(n as f64)
+            extract_json_str(l, "name") == Some(name)
+                && extract_json_num(l, "n") == Some(n as f64)
+                && extract_json_str(l, "awgn_kernel") == Some(kernel)
         })
-        .and_then(|l| extract_json_num(l, "slots_per_sec"))
+        .and_then(|l| extract_json_num(l, "gate_ratio"))
         .filter(|v| *v > 0.0)
+}
+
+/// The AWGN kernels a gate file holds ratios for, in file order.
+fn gate_kernels(gate: &str) -> Vec<&str> {
+    let mut kernels = Vec::new();
+    for kernel in gate_rows(gate).filter_map(|l| extract_json_str(l, "awgn_kernel")) {
+        if !kernels.contains(&kernel) {
+            kernels.push(kernel);
+        }
+    }
+    kernels
 }
 
 #[derive(Debug)]
@@ -708,6 +764,15 @@ fn render_json(opts: &BenchOptions, entries: &[Entry], speedups: Option<&[Speedu
         if let Some(limit) = e.alloc_limit {
             write!(s, ",\"alloc_limit\":{}", jf(limit)).unwrap();
         }
+        if let Some(ratio) = e.gate_ratio {
+            write!(
+                s,
+                ",\"gate_ratio\":{},\"awgn_kernel\":\"{}\"",
+                jf(ratio),
+                polar_kernel_name()
+            )
+            .unwrap();
+        }
         s.push('}');
         if i + 1 < entries.len() {
             s.push(',');
@@ -770,6 +835,7 @@ mod tests {
             allocs_per_slot: None,
             slot_level: true,
             alloc_limit: Some(MAX_ALLOCS_PER_SLOT),
+            gate_ratio: None,
         }];
         let baseline = r#"{
 "entries":[
@@ -784,75 +850,104 @@ mod tests {
     }
 
     /// A measured cell with only the fields the throughput gate reads.
-    fn cell(name: &str, n: usize, slots_per_sec: f64) -> Entry {
+    fn cell(name: &str, n: usize, gate_ratio: Option<f64>) -> Entry {
         Entry {
             name: name.into(),
             n,
             slots: 1_000,
             identified: n,
-            best_wall_s: 1_000.0 / slots_per_sec,
-            slots_per_sec,
+            best_wall_s: 0.01,
+            slots_per_sec: 100_000.0,
             iters: 1,
             budget_ms: 5,
             allocs: None,
             allocs_per_slot: None,
             slot_level: true,
             alloc_limit: None,
+            gate_ratio,
         }
     }
 
     /// A committed gate file for fcat2 at n = 500: signal-soa runs at a
-    /// tenth of sampled, and hash at a quarter.
+    /// tenth of sampled with the AVX-512 block sampler, and a fifteenth
+    /// with the scalar one.
     const GATE: &str = r#"{
 "entries":[
-  {"name":"fcat2/hash","n":500,"slots":1000,"slots_per_sec":250000.0},
   {"name":"fcat2/sampled","n":500,"slots":1000,"slots_per_sec":1000000.0},
-  {"name":"fcat2/signal-soa","n":500,"slots":1000,"slots_per_sec":100000.0}
+  {"name":"fcat2/signal-soa","n":500,"slots":1000,"slots_per_sec":100000.0,"gate_ratio":0.1,"awgn_kernel":"avx512"},
+  {"name":"fcat2/signal-soa","n":500,"slots":1000,"slots_per_sec":66666.0,"gate_ratio":0.0666,"awgn_kernel":"scalar"}
 ]
 }"#;
 
-    /// This run's cells: the gate's at half the machine speed, with the
-    /// hash cell sped up by `hash_gain` and the signal cell by `signal_gain`.
-    fn run_cells(hash_gain: f64, signal_gain: f64) -> Vec<Entry> {
+    /// The same gate file with only its AVX-512 rows.
+    fn avx512_gate() -> String {
+        GATE.lines()
+            .filter(|l| !l.contains("\"scalar\""))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// This run's cells, the signal-soa cell at `ratio` of sampled.
+    fn run_cells(ratio: f64) -> Vec<Entry> {
         vec![
-            cell("fcat2/hash", 500, 125_000.0 * hash_gain),
-            cell("fcat2/sampled", 500, 500_000.0),
-            cell("fcat2/signal-soa", 500, 50_000.0 * signal_gain),
+            cell("fcat2/hash", 500, None),
+            cell("fcat2/sampled", 500, None),
+            cell("fcat2/signal-soa", 500, Some(ratio)),
         ]
     }
 
     #[test]
     fn throughput_gate_passes_at_equal_ratios() {
-        assert_eq!(check_throughput_gate(&run_cells(1.0, 1.0), GATE), Ok(()));
-    }
-
-    #[test]
-    fn throughput_gate_ignores_a_faster_hash_cell() {
-        // The signal cells run sampled membership, so a faster hash scan
-        // must not read as a signal regression.
-        assert_eq!(check_throughput_gate(&run_cells(2.0, 1.0), GATE), Ok(()));
+        assert_eq!(
+            check_throughput_gate(&run_cells(0.1), GATE, "avx512"),
+            Ok(())
+        );
+        assert_eq!(
+            check_throughput_gate(&run_cells(0.0666), GATE, "scalar"),
+            Ok(())
+        );
     }
 
     #[test]
     fn throughput_gate_fails_on_a_signal_slowdown() {
         // 25% slower is past the 20% tolerance.
-        let err = check_throughput_gate(&run_cells(1.0, 0.75), GATE).unwrap_err();
+        let err = check_throughput_gate(&run_cells(0.075), GATE, "avx512").unwrap_err();
         assert!(err.contains("fcat2/signal-soa n=500"), "{err}");
     }
 
     #[test]
-    fn throughput_gate_needs_a_reference_cell() {
-        let cells: Vec<Entry> = run_cells(1.0, 1.0)
-            .into_iter()
-            .filter(|e| e.name != "fcat2/sampled")
-            .collect();
-        assert!(check_throughput_gate(&cells, GATE).is_err());
+    fn throughput_gate_compares_with_the_running_kernel() {
+        // The scalar kernel's ratio passes its own floor (0.0533) but
+        // would fail the AVX-512 one (0.08), and an AVX-512 ratio that
+        // lost a third fails even though it clears the scalar floor.
+        assert_eq!(
+            check_throughput_gate(&run_cells(0.06), GATE, "scalar"),
+            Ok(())
+        );
+        assert!(check_throughput_gate(&run_cells(0.06), GATE, "avx512").is_err());
+    }
+
+    #[test]
+    fn throughput_gate_fails_clearly_on_a_kernel_mismatch() {
+        // A gate measured only with the AVX-512 block sampler cannot judge
+        // a CPU running the scalar one.
+        let err = check_throughput_gate(&run_cells(0.0666), &avx512_gate(), "scalar").unwrap_err();
+        assert!(err.contains("awgn kernel avx512 only"), "{err}");
+        assert!(err.contains("this CPU runs awgn kernel scalar"), "{err}");
+    }
+
+    #[test]
+    fn throughput_gate_needs_a_measured_ratio() {
+        // The signal-soa cell was not timed with its reference.
+        let cells = vec![cell("fcat2/signal-soa", 500, None)];
+        let err = check_throughput_gate(&cells, GATE, "avx512").unwrap_err();
+        assert!(err.contains("no (signal-soa, sampled) cell pair"), "{err}");
     }
 
     #[test]
     fn gate_compares_only_committed_signal_pairs() {
         let cells = ["fcat2/hash", "fcat2/sampled", "fcat2/signal-soa"];
-        let compares = |name: &str, n: usize| gate_compares(GATE, cells, name, n);
+        let compares = |name: &str, n: usize| gate_compares(GATE, "avx512", cells, name, n);
         assert!(compares("fcat2/signal-soa", 500));
         assert!(compares("fcat2/sampled", 500));
         assert!(!compares("fcat2/hash", 500));
@@ -862,16 +957,32 @@ mod tests {
         // Without a signal-soa cell, a sampled cell is no reference.
         assert!(!gate_compares(
             GATE,
+            "avx512",
             ["fcat2/sampled"],
             "fcat2/sampled",
+            500
+        ));
+        // Nor is anything compared under a kernel the file has no rows for.
+        assert!(!gate_compares(
+            &avx512_gate(),
+            "scalar",
+            cells,
+            "fcat2/signal-soa",
             500
         ));
     }
 
     #[test]
+    fn median_of_odd_and_even_counts() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
+    }
+
+    #[test]
     fn interleaved_timing_alternates_the_two_cells() {
         let calls = std::cell::RefCell::new(String::new());
-        let (a, b) = measure_interleaved(
+        let (a, b, b_over_a) = measure_interleaved(
             Duration::from_millis(2),
             || {
                 calls.borrow_mut().push('a');
@@ -880,17 +991,23 @@ mod tests {
             || calls.borrow_mut().push('b'),
         );
         let calls = calls.into_inner();
-        // Turns of an untimed and a timed call of `a`, then the same of `b`:
-        // `a` first, the same count on both sides, and no more turns than
+        // A warm call of each sets the batch size. Then turns: an untimed
+        // and a timed call of `a`, an untimed call of `b` and a timed batch
+        // of `b` as long as `a`'s call, capped at 1000 calls since `b` is
+        // nearly free. `a` goes first, and there are no more turns than
         // 4 ms of timed calls at 0.2 ms or more per turn allow.
-        let turns = calls.len() / 4;
-        assert!((1..=20).contains(&turns), "{calls}");
-        assert_eq!(calls, "aabb".repeat(turns));
-        assert_eq!(a.iters, b.iters);
-        assert_eq!(a.iters as usize, 2 * turns);
+        let turns = a.iters as usize;
+        let batch = (b.iters / a.iters) as usize;
+        assert!((1..=20).contains(&turns), "{turns}");
+        assert_eq!(b.iters as usize, turns * batch);
+        assert!((2..=1_000).contains(&batch), "{batch}");
+        let turn = format!("aa{}", "b".repeat(1 + batch));
+        assert_eq!(calls, format!("aabb{}", turn.repeat(turns)));
         // Each side keeps its own best: `a` sleeps, `b` does not.
         assert!(a.best_ns_per_iter >= 200_000.0, "{a:?}");
         assert!(b.best_ns_per_iter < a.best_ns_per_iter, "{a:?} {b:?}");
+        // In every turn `b` took less time than `a`, so the median does too.
+        assert!(b_over_a > 0.0 && b_over_a < 1.0, "{b_over_a}");
     }
 
     #[test]

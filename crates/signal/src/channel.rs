@@ -56,8 +56,8 @@ pub trait AwgnRng: Rng {
 impl AwgnRng for StdRng {}
 
 /// The per-`(record, hop)` noise stream: its pairs come from
-/// [`CounterRng::standard_normal_pairs`], a block sampler where the CPU
-/// has AVX-512, bit-identical to the pair loop.
+/// [`CounterRng::standard_normal_pairs`], a block sampler (vectorized
+/// for AVX-512 where the CPU has it), bit-identical to the pair loop.
 impl AwgnRng for CounterRng {
     fn add_awgn_to(&mut self, samples: &mut [Complex], std: f64) {
         self.standard_normal_pairs(samples.len(), |i, re, im| {

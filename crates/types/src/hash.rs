@@ -321,23 +321,14 @@ impl CounterRng {
     /// `n` calls of [`standard_normal_pair`], and the same state left
     /// behind.
     ///
-    /// On a CPU with AVX-512F/DQ ([`polar_kernel_name`]) the pairs come
-    /// from a block sampler: instead of a branch per candidate, candidates
-    /// are made 64 at a time from outputs `2k` and `2k + 1` of the stream;
-    /// the accepted ones are then transformed in order with one scalar `ln`
+    /// Instead of a branch per candidate, a block sampler makes candidates
+    /// 64 at a time from outputs `2k` and `2k + 1` of the stream; the
+    /// accepted ones are then transformed in order with one scalar `ln`
     /// each, and the stream advances past the last candidate used
-    /// (DESIGN §13). Elsewhere the sequential loop runs, which measured
-    /// faster than the block sampler's default-target copy.
-    pub fn standard_normal_pairs(&mut self, n: usize, mut emit: impl FnMut(usize, f64, f64)) {
-        match Kernel::detect() {
-            Kernel::Avx512 => self.polar_blocks(Kernel::Avx512, n, emit),
-            Kernel::Scalar => {
-                for i in 0..n {
-                    let (z0, z1) = standard_normal_pair(self);
-                    emit(i, z0, z1);
-                }
-            }
-        }
+    /// (DESIGN §13). On a CPU with AVX-512F/DQ the candidates come from a
+    /// copy compiled for those features ([`polar_kernel_name`]).
+    pub fn standard_normal_pairs(&mut self, n: usize, emit: impl FnMut(usize, f64, f64)) {
+        self.polar_blocks(Kernel::detect(), n, emit);
     }
 
     /// The block sampler of [`CounterRng::standard_normal_pairs`], its
@@ -431,9 +422,9 @@ impl RngCore for CounterRng {
     }
 }
 
-/// The name of the path [`CounterRng::standard_normal_pairs`] takes on
-/// this CPU: `"avx512"` for the block sampler, `"scalar"` for the
-/// sequential loop. Benchmarks record it beside [`scan_kernel_name`].
+/// The name of the copy of the block sampler's candidate loop that
+/// [`CounterRng::standard_normal_pairs`] runs on this CPU: `"avx512"` or
+/// `"scalar"`. Benchmarks record it beside [`scan_kernel_name`].
 #[must_use]
 pub fn polar_kernel_name() -> &'static str {
     Kernel::detect().name()
